@@ -1,9 +1,13 @@
-// Scalar vs columnar batch serving throughput (the PR's acceptance bench):
-// the same mixed-kind workload served through Session::SubmitBatch (one
-// compiled query, one future, one clip+noise task per row) and through
+// Serving-path benchmarks for the Session front door. The main legs
+// compare the same mixed-kind workload served through Session::SubmitBatch
+// (one 1-row plan, one future, one executor task per row) and through
 // Session::SubmitColumnar (one compiled batch plan, one composed charge,
 // one vectorized aggregate -> derive -> clip -> noise pass), across batch
-// size x executor thread count on a T = 4096, k = 8 chain model.
+// size x executor thread count on a T = 4096, k = 8 chain model. Two
+// fixed-overhead legs ride along: BM_CompileWarm (a warm Compile, both
+// caches hot — the lookup every served query pays) and BM_SessionCharge
+// (a synchronous Release of a trivial query on a sensitivity model, so the
+// ledger charge and plan bookkeeping dominate).
 //
 // The acceptance claim is the items_per_second ratio of
 // BM_ColumnarSubmit/1024/1 over BM_ScalarSubmitBatch/1024/1 (single
@@ -169,6 +173,32 @@ BENCHMARK(BM_ColumnarSubmit)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompileBatchPlan)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+void BM_CompileWarm(benchmark::State& state) {
+  auto engine = ServingEngine(1);
+  Warm(engine.get());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(engine->Compile(QuerySpec::Mean(kEpsilon)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CompileWarm);
+
+void BM_SessionCharge(benchmark::State& state) {
+  auto engine =
+      PrivacyEngine::Create(ModelSpec::Sensitivity(1.0)).ValueOrDie();
+  const StateSequence tiny{1, 0, 1};
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto session = engine->CreateSession();
+    state.ResumeTiming();
+    for (int k = 0; k < 64; ++k) {
+      benchmark::DoNotOptimize(session->Release(QuerySpec::Sum(1.0), tiny));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() * 64);
+}
+BENCHMARK(BM_SessionCharge);
 
 }  // namespace
 }  // namespace pf

@@ -45,7 +45,7 @@ std::map<std::pair<int, int>, ComboResult>& Results() {
 // Plans are compiled once per (epsilon, alpha) point through per-alpha
 // PrivacyEngines (the serving front door, caches included); the benchmark
 // iterations then run the 500-trial release experiment of Section 5.2 as
-// one ReleaseBatch per mechanism's plan (noise-magnitude harness — the
+// one ReleaseVector per mechanism's plan (noise-magnitude harness — the
 // plan SPI, since the trials release synthetic zero truths).
 PrivacyEngine& EngineFor(int alpha_idx, MechanismKind kind) {
   static auto* engines =
@@ -112,8 +112,7 @@ const ComboResult& Analyze(int eps_idx, int alpha_idx) {
 double MeanAbsOfBatch(const MechanismPlan& plan, double lipschitz, Rng* rng) {
   if (!plan.applicable) return -1.0;  // Marks "not applicable" in the table.
   const Vector noisy =
-      ReleaseBatch(plan, std::vector<double>(kTrials, 0.0), lipschitz, rng)
-          .ValueOrDie();
+      ReleaseVector(plan, Vector(kTrials, 0.0), lipschitz, rng).ValueOrDie();
   double sum = 0.0;
   for (double v : noisy) sum += std::fabs(v);
   return sum / kTrials;
@@ -129,7 +128,7 @@ void BM_Fig4Synthetic(benchmark::State& state) {
   ComboResult r = Analyze(eps_idx, alpha_idx);
   // Section 5.2 protocol: draw theta and a dataset per trial, release the
   // frequency of state 1 (1/T-Lipschitz), average |error| over trials. Each
-  // mechanism's 500 trials are one ReleaseBatch against its plan.
+  // mechanism's 500 trials are one ReleaseVector against its plan.
   Rng rng(10007 * (eps_idx + 1) + alpha_idx);
   const double lipschitz = 1.0 / static_cast<double>(kLength);
   // Plan lookups are loop-invariant (Analyze() above warmed the engines'

@@ -1,6 +1,6 @@
 // Thread-scaling of the mechanism analyses — the internal SPI layer *under*
 // the PrivacyEngine front door (serving-path benches live in
-// bench_engine_serving.cc):
+// bench_batch_serving.cc):
 //
 //  - AnalyzeMarkovQuiltMechanism on a 20-node binary Bayesian network
 //    (enumeration inference dominates; the per-node sigma_i searches fan

@@ -28,10 +28,6 @@ const char* DeriveOpName(PhysicalBatchPlan::DeriveOp op) {
   return "?";
 }
 
-bool IsFullRecord(const DataWindow& w) {
-  return !w.from_end && w.offset == 0 && w.length == 0;
-}
-
 /// Compact double formatting for Explain (std::to_string pads zeros).
 std::string FormatDouble(double v) {
   char buf[32];
@@ -109,6 +105,13 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
   if (batch.empty()) {
     return Status::InvalidArgument("empty batch; nothing to compile");
   }
+  // Compile() re-checks per unique query, but refusing here keeps the
+  // answer independent of the rows: an expired request never reaches the
+  // charge, whatever its windows.
+  if (request.deadline.expired()) {
+    return Status::DeadlineExceeded(
+        "request deadline already expired; nothing was charged");
+  }
   CompiledBatchPlan plan;
   LogicalBatchPlan& lg = plan.logical;
   lg.data_size = data_size;
@@ -117,7 +120,8 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
   // The 1/T factors of full-record built-ins come from the engine's record
   // length; snapshot it and verify below that no concurrent append slid it
   // under the compiles (a torn batch would mix constants from two model
-  // epochs and match NO scalar run).
+  // epochs and match no row-by-row run). Windowed rows take T from the
+  // window, so only plans with a full-record row need the check.
   const std::size_t model_length = engine->record_length();
 
   // Parse + project: resolve windows, dedupe rows onto unique (window,
@@ -126,10 +130,11 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
   // directly (bucketed, collision-checked) — no per-row string build on
   // the serving hot path; context strings exist only on error returns.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> unique_buckets;
+  bool any_full_record = false;
   for (std::size_t i = 0; i < batch.items.size(); ++i) {
     const BatchQueryItem& item = batch.items[i];
 
-    const bool full = IsFullRecord(item.window);
+    const bool full = item.window.full_record();
     std::size_t offset = 0;
     std::size_t length = data_size;
     if (!full) {
@@ -152,6 +157,7 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
     if (window_index == lg.windows.size()) {
       lg.windows.push_back({offset, length, full});
     }
+    any_full_record = any_full_record || full;
 
     std::vector<std::size_t>& bucket =
         unique_buckets[ShapeHash(window_index, item.spec)];
@@ -164,9 +170,8 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
       }
     }
     if (u == lg.unique.size()) {
-      // Full-record rows compile with window_length = 0, exactly like the
-      // scalar non-window Submit; windowed rows pass the resolved length,
-      // exactly like the scalar windowed Submit.
+      // Full-record rows compile with window_length = 0 (the engine's
+      // record length); windowed rows pass the resolved length.
       Result<PrivacyEngine::CompiledQuery> compiled =
           engine->Compile(item.spec, full ? 0 : length, request);
       if (!compiled.ok()) {
@@ -188,7 +193,7 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
     lg.total_values += lg.unique[u].dim;
   }
 
-  if (engine->record_length() != model_length) {
+  if (any_full_record && engine->record_length() != model_length) {
     return Status::Unavailable(
         "model record length changed while the batch was compiling; retry "
         "(nothing was charged)");
@@ -256,12 +261,6 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
   return plan;
 }
 
-Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
-                                           const BatchQuerySpec& batch,
-                                           std::size_t data_size) {
-  return CompileBatchPlan(engine, batch, data_size, RequestOptions{});
-}
-
 std::string CompiledBatchPlan::Explain() const {
   const LogicalBatchPlan& lg = logical;
   std::string out = "BatchPlan: " + std::to_string(num_rows()) + " rows -> " +
@@ -327,9 +326,9 @@ Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
                                             const StateSequence& data,
                                             std::uint64_t seed,
                                             std::uint64_t first_ticket) {
-  // Post-charge failure surface, like the scalar execute path: the torture
-  // tests pin that an injected failure here lands as a typed Status on the
-  // batch future, never a crash, with the ledger stable.
+  // Post-charge failure surface: the failpoint sweep pins that an injected
+  // failure here lands as a typed Status (on the future, or returned by a
+  // sync Release), never a crash, with the ledger stable.
   PF_FAILPOINT("batch.execute");
   const LogicalBatchPlan& lg = plan.logical;
   if (data.size() != lg.data_size) {
@@ -371,8 +370,8 @@ Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
   }
 
   // Derive each unique query's truth once; rows sharing it copy the staged
-  // values (the scalar path recomputes the query per row, deterministically
-  // — same values, O(T) more work).
+  // values (releasing row by row recomputes the query per row,
+  // deterministically — same values, O(T) more work).
   std::vector<Vector> truth(lg.unique.size());
   std::vector<StateSequence> slices(lg.windows.size());
   std::vector<bool> sliced(lg.windows.size(), false);
@@ -400,7 +399,8 @@ Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
       if (q.dim != 0 && v.size() != q.dim) {
         // Statically undetectable contract violation, discovered after the
         // batch was charged: the charge stands (overcharging a misdeclared
-        // query is privacy-safe), exactly like the scalar execute path.
+        // query is privacy-safe; refunding would require sessions to
+        // outlive their futures).
         return Status::Internal(
             "query '" + q.name + "' returned dimension " +
             std::to_string(v.size()) + ", declared " + std::to_string(q.dim) +
@@ -461,7 +461,7 @@ Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
   // Clip: scales[r] = L[r] * sigma[r], vectorized.
   ClipScales(lipschitz.data(), sigmas, rows, batch.noise_scales());
 
-  // Noise: per-ticket Laplace streams, bit-identical to the scalar path.
+  // Noise: per-ticket Laplace streams (TicketNoiseSeed(seed, ticket)).
   std::vector<std::shared_ptr<const MechanismPlan>> plans;
   plans.reserve(plan.compiled.size());
   for (const CompiledBatchQuery& c : plan.compiled) plans.push_back(c.plan);

@@ -17,17 +17,19 @@
 //        v
 //     BatchReleaseResult         one arena-backed RecordBatch
 //
-// Bit-identity contract: every built-in QueryKind's truth is derived from
-// one integer aggregation pass in arithmetic that reproduces the scalar
-// query functions bit for bit (exact integer sums below 2^53, then the
-// same single multiply by 1/T), and row r's noise comes from the same
-// per-ticket stream (TicketNoiseSeed) the scalar path would use — so a
-// columnar batch equals the corresponding sequence of scalar Submits
-// exactly, at any thread count and SimdLevel. Custom queries are evaluated
-// through their compiled std::function against the materialized window,
-// exactly as the scalar path does.
+// This is the ONE serving path: Session::Release and Session::Submit are
+// 1-row plans through the same compile -> charge -> execute sequence.
 //
-// Batch semantics are ALL-OR-NOTHING, unlike scalar SubmitBatch's per-row
+// Bit-identity contract: every built-in QueryKind's truth is derived from
+// one integer aggregation pass in arithmetic that reproduces the compiled
+// query functions bit for bit (exact integer sums below 2^53, then the
+// same single multiply by 1/T), and row r's noise comes from the per-ticket
+// stream TicketNoiseSeed(seed, ticket) — so a columnar batch equals the
+// same specs released one by one, in order, exactly, at any thread count
+// and SimdLevel. Custom queries are evaluated through their compiled
+// std::function against the materialized window.
+//
+// Batch semantics are ALL-OR-NOTHING, unlike SubmitBatch's per-row
 // futures: a batch that fails to compile, mixes active quilts, or would
 // overrun the budget is refused whole, and nothing is charged.
 #ifndef PUFFERFISH_ENGINE_BATCH_PLAN_H_
@@ -50,7 +52,6 @@
 namespace pf {
 
 class PrivacyEngine;
-struct RequestOptions;
 
 /// \brief A contiguous window of a (growing) record for sliding-window
 /// queries: resolved against the database size at submit time. The engine
@@ -82,12 +83,16 @@ struct DataWindow {
   }
   /// The whole record.
   static DataWindow All() { return DataWindow{}; }
+
+  /// True for All(): the query compiles against the engine's full record
+  /// length rather than a window length.
+  bool full_record() const { return !from_end && offset == 0 && length == 0; }
 };
 
 /// \brief Resolves a DataWindow against a record of `size` observations
 /// into a concrete (offset, length) slice; empty or out-of-range windows
-/// are refused here, before anything is charged. Shared by the scalar
-/// windowed Release/Submit paths and the batch-plan compiler.
+/// are refused here, before anything is charged. Shared by the batch-plan
+/// compiler and Session's windowed Submit (which copies only the slice).
 Result<std::pair<std::size_t, std::size_t>> ResolveDataWindow(
     const DataWindow& window, std::size_t size);
 
@@ -127,8 +132,7 @@ struct LogicalBatchPlan {
     std::size_t offset = 0;
     std::size_t length = 0;
     /// True for DataWindow::All(): the query compiles against the engine's
-    /// full record length (matching the scalar non-window Submit path) and
-    /// executes over the whole database.
+    /// full record length and executes over the whole database.
     bool full_record = false;
   };
   struct UniqueQuery {
@@ -227,22 +231,20 @@ struct BatchReleaseResult {
 /// All-or-nothing: any row that fails to resolve or compile refuses the
 /// whole batch (with the row index chained into the error). Uses the
 /// engine's compiled-query cache — one Compile per unique (window, spec),
-/// not per row. Honors `request` (deadline, cold-analysis shedding)
-/// exactly like scalar Compile.
+/// not per row. Honors `request` exactly like PrivacyEngine::Compile; an
+/// already-expired deadline is refused before any window is resolved.
 Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
                                            const BatchQuerySpec& batch,
                                            std::size_t data_size,
-                                           const RequestOptions& request);
-Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
-                                           const BatchQuerySpec& batch,
-                                           std::size_t data_size);
+                                           const RequestOptions& request = {});
 
 /// \brief Runs the physical plan over `data`: aggregate → derive → clip →
 /// noise, with row i released under ticket `first_ticket + i` from the
-/// (seed, ticket) noise streams. The caller has already charged the ledger
-/// for every row (Session::SubmitColumnar does); like the scalar execute
-/// path, a post-charge failure (a custom query violating its declared
-/// dimension) surfaces as a typed Status with the charge standing.
+/// (seed, ticket) noise streams. The one execute body of the serving path:
+/// the caller has already charged the ledger for every row (every Session
+/// release does, a 1-row plan for Release/Submit); a post-charge failure
+/// (a custom query violating its declared dimension) surfaces as a typed
+/// Status with the charge standing.
 Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
                                             const StateSequence& data,
                                             std::uint64_t seed,

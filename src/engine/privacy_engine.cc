@@ -445,16 +445,6 @@ Result<std::unique_ptr<PrivacyEngine>> PrivacyEngine::Create(
 }
 
 Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
-    const QuerySpec& spec) {
-  return Compile(spec, /*window_length=*/0);
-}
-
-Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
-    const QuerySpec& spec, std::size_t window_length) {
-  return Compile(spec, window_length, RequestOptions{});
-}
-
-Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
     const QuerySpec& spec, std::size_t window_length,
     const RequestOptions& request) {
   // Refuse an already-dead request before doing any work (and, in the

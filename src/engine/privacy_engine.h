@@ -29,7 +29,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/deadline.h"
 #include "common/memory_stats.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
@@ -140,20 +139,6 @@ struct EngineOptions {
   std::int64_t analysis_timeout_ms = 0;
 };
 
-/// \brief Per-request serving constraints, carried through Compile and
-/// Session::Submit/Release. Default-constructed options impose nothing.
-struct RequestOptions {
-  /// Give up past this point: refused up front (before any budget charge)
-  /// when already expired, and honored mid-analysis at the cooperative
-  /// checkpoints (power ladder, node scans, variable elimination).
-  Deadline deadline;
-  /// When false the request is only willing to be served from cached
-  /// plans: a Compile that would need a cold sigma analysis returns
-  /// Unavailable immediately (the caller's own fast-fail knob, independent
-  /// of EngineOptions::shed_cold_queue_depth).
-  bool allow_cold_analysis = true;
-};
-
 /// \brief The mechanism the policy picks for `model` under `options`
 /// (honoring options.mechanism when set). Exposed for tests and logs;
 /// PrivacyEngine::Create applies the same rule.
@@ -224,28 +209,25 @@ class PrivacyEngine {
   /// \brief Compiles a declarative query to (VectorQuery, MechanismPlan),
   /// analyzing at the spec's epsilon at most once per (model, epsilon):
   /// both the plan (AnalysisCache) and the compiled pair are cached.
-  Result<CompiledQuery> Compile(const QuerySpec& spec);
-
-  /// \brief Compiles `spec` against a window of `window_length`
+  ///
+  /// A nonzero `window_length` compiles against a window of that many
   /// observations instead of the full record: built-in Lipschitz constants
   /// that depend on the record length (mean, frequencies) are derived from
   /// the window length — a window query is exactly that much more
   /// sensitive per record — while the plan (noise calibration) is the full
   /// model's. window_length = 0 means the full record; longer than the
   /// record is InvalidArgument.
-  Result<CompiledQuery> Compile(const QuerySpec& spec,
-                                std::size_t window_length);
-
-  /// \brief Compile under per-request constraints: an already-expired
-  /// deadline is refused with DeadlineExceeded before any work, a deadline
-  /// (or EngineOptions::analysis_timeout_ms) expiring mid-analysis cancels
-  /// it at the next checkpoint, and cold analyses are shed with
-  /// Unavailable under the overload policy (see RequestOptions and
+  ///
+  /// `request` constrains the compile: an already-expired deadline is
+  /// refused with DeadlineExceeded before any work, a deadline (or
+  /// EngineOptions::analysis_timeout_ms) expiring mid-analysis cancels it
+  /// at the next checkpoint, and cold analyses are shed with Unavailable
+  /// under the overload policy (see RequestOptions and
   /// EngineOptions::shed_cold_queue_depth). Failure messages chain context
   /// back to the root cause.
   Result<CompiledQuery> Compile(const QuerySpec& spec,
-                                std::size_t window_length,
-                                const RequestOptions& request);
+                                std::size_t window_length = 0,
+                                const RequestOptions& request = {});
 
   /// \brief Opens a per-tenant session with its own privacy budget and RNG
   /// seed. The engine must outlive the session.

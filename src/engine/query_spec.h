@@ -12,12 +12,28 @@
 #include <functional>
 #include <string>
 
+#include "common/deadline.h"
 #include "common/histogram.h"
 #include "common/matrix.h"
 #include "common/status.h"
 #include "pufferfish/query.h"
 
 namespace pf {
+
+/// \brief Per-request serving constraints, carried through Compile,
+/// CompileBatchPlan and every Session release. Default-constructed options
+/// impose nothing.
+struct RequestOptions {
+  /// Give up past this point: refused up front (before any budget charge)
+  /// when already expired, and honored mid-analysis at the cooperative
+  /// checkpoints (power ladder, node scans, variable elimination).
+  Deadline deadline;
+  /// When false the request is only willing to be served from cached
+  /// plans: a Compile that would need a cold sigma analysis returns
+  /// Unavailable immediately (the caller's own fast-fail knob, independent
+  /// of EngineOptions::shed_cold_queue_depth).
+  bool allow_cold_analysis = true;
+};
 
 /// The built-in query shapes plus the custom escape hatch.
 enum class QueryKind {

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_map>
+#include <type_traits>
 #include <utility>
 
 #include "common/failpoint.h"
-#include "common/random.h"
 
 namespace pf {
 
@@ -46,15 +45,10 @@ MarkovQuilt PlanActiveQuilt(const MechanismPlan& plan) {
   return tag;
 }
 
-std::future<Result<ReleaseResult>> ReadyError(Status status) {
-  std::promise<Result<ReleaseResult>> promise;
-  promise.set_value(Result<ReleaseResult>(std::move(status)));
-  return promise.get_future();
-}
-
-std::future<Result<BatchReleaseResult>> ReadyBatchError(Status status) {
-  std::promise<Result<BatchReleaseResult>> promise;
-  promise.set_value(Result<BatchReleaseResult>(std::move(status)));
+template <typename T>
+std::future<Result<T>> ReadyError(Status status) {
+  std::promise<Result<T>> promise;
+  promise.set_value(Result<T>(std::move(status)));
   return promise.get_future();
 }
 
@@ -66,10 +60,17 @@ bool SameQuiltIdentity(const MarkovQuilt& a, const MarkovQuilt& b) {
          a.quilt == b.quilt;
 }
 
-StateSequence SliceWindow(const StateSequence& data, std::size_t offset,
-                          std::size_t length) {
-  const auto begin = data.begin() + static_cast<std::ptrdiff_t>(offset);
-  return StateSequence(begin, begin + static_cast<std::ptrdiff_t>(length));
+/// Row 0 of a released 1-row plan as a ReleaseResult.
+Result<ReleaseResult> FirstRow(Result<BatchReleaseResult> released) {
+  if (!released.ok()) return released.status();
+  const RecordBatch& batch = released.value().batch;
+  ReleaseResult result;
+  result.value = batch.RowVector(0);
+  result.epsilon = batch.epsilons()[0];
+  result.sigma = batch.sigmas()[0];
+  result.mechanism = released.value().mechanism;
+  result.ticket = batch.tickets()[0];
+  return result;
 }
 
 }  // namespace
@@ -104,262 +105,163 @@ Status Session::AdmitInFlight() {
   }
 }
 
-Result<std::uint64_t> Session::ChargeLocked(const MechanismPlan& plan) {
+Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
+  // Models a refusal between admission and the charge (e.g. a ledger
+  // backend outage): the caller returns its slots and nothing is charged.
+  PF_FAILPOINT("session.charge");
   // A plan that can never release (GK16 outside its spectral condition, a
   // non-finite noise scale) must be refused *before* charging: the failed
   // release would produce nothing, so it must not burn budget.
-  if (!plan.applicable) {
-    return Status::FailedPrecondition(
-        std::string(MechanismKindName(plan.kind)) +
-        " is inapplicable for this model class (no finite noise scale); "
-        "nothing was charged");
+  for (const CompiledBatchQuery& q : plan.compiled) {
+    const MechanismPlan& mp = *q.plan;
+    if (!mp.applicable || !std::isfinite(mp.sigma) || mp.sigma < 0.0) {
+      return Status::FailedPrecondition(
+          std::string(MechanismKindName(mp.kind)) +
+          " has no finite noise scale (inapplicable for this model class); "
+          "nothing was charged");
+    }
   }
-  if (!std::isfinite(plan.sigma) || plan.sigma < 0.0) {
-    return Status::FailedPrecondition(
-        "plan has no finite noise scale; nothing was charged");
+  // Theorem 4.4's precondition, checked across the plan before touching
+  // the ledger: every row must release under one active quilt (which
+  // RecordBatchStrict then checks against the ledger's earlier releases).
+  const MarkovQuilt quilt = PlanActiveQuilt(*plan.compiled.front().plan);
+  for (std::size_t u = 1; u < plan.compiled.size(); ++u) {
+    if (!SameQuiltIdentity(quilt, PlanActiveQuilt(*plan.compiled[u].plan))) {
+      return Status::FailedPrecondition(
+          "batch mixes active quilts (rows would compose under different "
+          "Theorem 4.4 objects); the batch was refused whole and nothing "
+          "was charged");
+    }
   }
-  // Price the release before committing it: K+1 releases compose to
-  // (K+1) * max epsilon (Theorem 4.4). Admission uses the shared
-  // deterministic tie rule (ComposedBudgetAdmits): floating-point dust at
-  // exact-fit boundaries like B = 0.3, eps = 0.1 is forgiven, genuine
-  // overruns never are, so a budget of B admits exactly floor(B / eps)
-  // equal-epsilon releases on every platform.
-  const double max_epsilon = std::max(accountant_.MaxEpsilon(), plan.epsilon);
+  // Price the whole plan as one composed charge, under the ledger lock: K
+  // existing releases plus `rows` new ones compose to (K + rows) * max
+  // epsilon. Admitting at the composed level is equivalent to admitting
+  // each row sequentially (every intermediate level is bounded by the
+  // final one), so 1-row and columnar plans admit exactly the same
+  // prefixes of work. The shared tie rule (ComposedBudgetAdmits) forgives
+  // floating-point dust at exact-fit boundaries like B = 0.3, eps = 0.1,
+  // never a genuine overrun, so a budget of B admits exactly
+  // floor(B / eps) equal-epsilon releases on every platform.
+  const std::size_t rows = plan.num_rows();
+  std::vector<double> epsilons;
+  epsilons.reserve(rows);
+  double plan_max = 0.0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    const double eps =
+        plan.compiled[plan.logical.row_to_unique[r]].plan->epsilon;
+    epsilons.push_back(eps);
+    plan_max = std::max(plan_max, eps);
+  }
+  MutexLock lock(mutex_);
+  const double max_epsilon = std::max(accountant_.MaxEpsilon(), plan_max);
   const double budget = options_.epsilon_budget;
-  if (!ComposedBudgetAdmits(accountant_.num_releases() + 1, max_epsilon,
+  if (!ComposedBudgetAdmits(accountant_.num_releases() + rows, max_epsilon,
                             budget)) {
     const double prospective =
-        static_cast<double>(accountant_.num_releases() + 1) * max_epsilon;
+        static_cast<double>(accountant_.num_releases() + rows) * max_epsilon;
     return Status::ResourceExhausted(
-        "privacy budget exhausted: this release would compose to epsilon " +
-        std::to_string(prospective) + " > budget " + std::to_string(budget));
+        "privacy budget exhausted: " + std::to_string(rows) +
+        " more release(s) would compose to epsilon " +
+        std::to_string(prospective) + " > budget " + std::to_string(budget) +
+        "; nothing was charged");
   }
   // Records only if the active quilt matches every earlier release
   // (Theorem 4.4's precondition); a mismatch refuses with
   // FailedPrecondition and charges nothing.
-  PF_RETURN_NOT_OK(
-      accountant_.RecordReleaseStrict(plan.epsilon, PlanActiveQuilt(plan)));
-  return next_ticket_++;
-}
-
-Result<ReleaseResult> Session::Execute(const PrivacyEngine::CompiledQuery& q,
-                                       const StateSequence& data,
-                                       std::uint64_t seed,
-                                       std::uint64_t ticket) {
-  // Fires after the charge (the body runs post-ticketing): the torture
-  // tests pin that an execute-side failure surfaces as a typed Status on
-  // the future, never a crash, and that the ledger stays consistent.
-  PF_FAILPOINT("session.execute");
-  Vector truth = q.query.fn(data);
-  if (q.query.dim != 0 && truth.size() != q.query.dim) {
-    // Unlike the statically-detectable refusals in ChargeLocked, this can
-    // only surface after the budget was charged (the body runs on the
-    // pool, after ticketing). The charge stands: overcharging a
-    // contract-violating query is privacy-safe; refunding would require
-    // sessions to outlive their futures.
-    return Status::Internal("query '" + q.query.name + "' returned dimension " +
-                            std::to_string(truth.size()) + ", declared " +
-                            std::to_string(q.query.dim) +
-                            " (epsilon was charged)");
-  }
-  Rng rng(TicketNoiseSeed(seed, ticket));
-  // The charge is structurally upstream: Execute only runs with a `ticket`
-  // already issued by ChargeLocked (every caller is a Release overload or
-  // the SubmitCompiled task body, both of which charge before invoking
-  // it), so no in-function charge can or should dominate this release.
-  // pf:allow(budget-flow): ticket proves the charge happened upstream
-  PF_ASSIGN_OR_RETURN(Vector noisy, ReleaseVector(*q.plan, truth,
-                                                  q.query.lipschitz, &rng));
-  ReleaseResult result;
-  result.value = std::move(noisy);
-  result.epsilon = q.plan->epsilon;
-  result.sigma = q.plan->sigma;
-  result.mechanism = q.plan->kind;
-  result.ticket = ticket;
-  return result;
-}
-
-Result<ReleaseResult> Session::Release(const QuerySpec& spec,
-                                       const StateSequence& data) {
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec));
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
-  }
-  return Execute(compiled, data, seed_, ticket);
-}
-
-Result<ReleaseResult> Session::Release(const QuerySpec& spec,
-                                       const StateSequence& data,
-                                       const DataWindow& window) {
-  PF_ASSIGN_OR_RETURN(const auto span, ResolveDataWindow(window, data.size()));
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec, span.second));
-  const StateSequence slice = SliceWindow(data, span.first, span.second);
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
-  }
-  return Execute(compiled, slice, seed_, ticket);
-}
-
-Result<ReleaseResult> Session::Release(const QuerySpec& spec,
-                                       const StateSequence& data,
-                                       const RequestOptions& request) {
-  // Compile() re-checks the deadline, but refusing here keeps the
-  // guarantee local: an expired ticket never reaches the charge path.
-  if (request.deadline.expired()) {
-    return Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged");
-  }
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec, 0, request));
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
-  }
-  return Execute(compiled, data, seed_, ticket);
+  PF_RETURN_NOT_OK(accountant_.RecordBatchStrict(epsilons, quilt));
+  const std::uint64_t first = next_ticket_;
+  next_ticket_ += rows;
+  return first;
 }
 
 Result<ReleaseResult> Session::Release(const QuerySpec& spec,
                                        const StateSequence& data,
                                        const DataWindow& window,
                                        const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged");
-  }
-  PF_ASSIGN_OR_RETURN(const auto span, ResolveDataWindow(window, data.size()));
-  PF_ASSIGN_OR_RETURN(PrivacyEngine::CompiledQuery compiled,
-                      engine_->Compile(spec, span.second, request));
-  const StateSequence slice = SliceWindow(data, span.first, span.second);
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    PF_ASSIGN_OR_RETURN(ticket, ChargeLocked(*compiled.plan));
-  }
-  return Execute(compiled, slice, seed_, ticket);
+  PF_ASSIGN_OR_RETURN(
+      const CompiledBatchPlan plan,
+      CompileBatchPlan(engine_, BatchQuerySpec().Add(spec, window),
+                       data.size(), request));
+  PF_ASSIGN_OR_RETURN(const std::uint64_t ticket, Charge(plan));
+  return FirstRow(ExecuteBatchPlan(plan, data, seed_, ticket));
 }
 
-std::future<Result<ReleaseResult>> Session::Submit(const QuerySpec& spec,
-                                                   StateSequence data) {
-  return Submit(spec,
-                std::make_shared<const StateSequence>(std::move(data)));
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(const QuerySpec& spec,
-                                                   const StateSequence& data,
-                                                   const DataWindow& window) {
-  return Submit(spec, data, window, RequestOptions{});
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(
-    const QuerySpec& spec, const StateSequence& data, const DataWindow& window,
-    const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return ReadyError(Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged"));
-  }
-  Result<std::pair<std::size_t, std::size_t>> span =
-      ResolveDataWindow(window, data.size());
-  if (!span.ok()) return ReadyError(span.status());
-  Result<PrivacyEngine::CompiledQuery> compiled =
-      engine_->Compile(spec, span.value().second, request);
-  if (!compiled.ok()) return ReadyError(compiled.status());
-  auto slice = std::make_shared<const StateSequence>(
-      SliceWindow(data, span.value().first, span.value().second));
-  return SubmitCompiled(std::move(compiled).value(), std::move(slice));
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(
-    const QuerySpec& spec, std::shared_ptr<const StateSequence> data) {
-  return Submit(spec, std::move(data), RequestOptions{});
-}
-
-std::future<Result<ReleaseResult>> Session::Submit(
-    const QuerySpec& spec, std::shared_ptr<const StateSequence> data,
-    const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return ReadyError(Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged"));
-  }
-  Result<PrivacyEngine::CompiledQuery> compiled =
-      engine_->Compile(spec, 0, request);
-  if (!compiled.ok()) return ReadyError(compiled.status());
-  return SubmitCompiled(std::move(compiled).value(), std::move(data));
-}
-
-std::future<Result<ReleaseResult>> Session::SubmitCompiled(
-    PrivacyEngine::CompiledQuery q, std::shared_ptr<const StateSequence> data) {
+template <typename T>
+std::future<Result<T>> Session::Enqueue(
+    Result<CompiledBatchPlan> compiled,
+    std::shared_ptr<const StateSequence> data) {
+  // Compile before claiming any serving resources: a request that cannot
+  // compile should not occupy an executor slot.
+  if (!compiled.ok()) return ReadyError<T>(compiled.status());
   // Admission strictly precedes accounting. The executor slot and the
-  // in-flight slot are both claimed before ChargeLocked, so a request shed
+  // in-flight slot are both claimed before the charge, so a request shed
   // here resolves to Unavailable with the ledger untouched; once the
   // charge lands, hand-off cannot fail (Submit with a valid permit always
   // enqueues), so a charged ticket always produces a release or a typed
   // execute error — never a silently dropped debit.
   Result<Executor::Permit> permit = engine_->executor().TryAcquire();
-  if (!permit.ok()) return ReadyError(permit.status());
+  if (!permit.ok()) return ReadyError<T>(permit.status());
   Status admitted = AdmitInFlight();
-  if (!admitted.ok()) return ReadyError(std::move(admitted));
-  auto in_flight = in_flight_;
-#ifdef PF_FAILPOINTS
-  // Models a refusal between admission and the charge (e.g. a ledger
-  // backend outage): both slots must be returned and nothing charged.
-  {
-    Status injected = FailpointRegistry::Instance().Evaluate("session.charge");
-    if (!injected.ok()) {
-      in_flight->fetch_sub(1, std::memory_order_relaxed);
-      return ReadyError(std::move(injected));  // Permit released by ~Permit.
-    }
+  if (!admitted.ok()) return ReadyError<T>(std::move(admitted));
+  Result<std::uint64_t> charged = Charge(compiled.value());
+  if (!charged.ok()) {
+    in_flight_->fetch_sub(1, std::memory_order_relaxed);
+    return ReadyError<T>(charged.status());  // Permit released by ~Permit.
   }
-#endif
-  std::uint64_t ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    Result<std::uint64_t> charged = ChargeLocked(*q.plan);
-    if (!charged.ok()) {
-      in_flight->fetch_sub(1, std::memory_order_relaxed);
-      return ReadyError(charged.status());  // Permit released by ~Permit.
-    }
-    ticket = charged.value();
-  }
+  auto plan = std::make_shared<const CompiledBatchPlan>(
+      std::move(compiled).value());
   return engine_->executor().Submit(
       std::move(permit).value(),
-      [q = std::move(q), data = std::move(data), seed = seed_, ticket,
-       in_flight = std::move(in_flight)] {
-        Result<ReleaseResult> result = Execute(q, *data, seed, ticket);
+      [plan = std::move(plan), data = std::move(data), seed = seed_,
+       first_ticket = charged.value(), in_flight = in_flight_]() -> Result<T> {
+        Result<BatchReleaseResult> released =
+            ExecuteBatchPlan(*plan, *data, seed, first_ticket);
         in_flight->fetch_sub(1, std::memory_order_relaxed);
-        return result;
+        if constexpr (std::is_same_v<T, ReleaseResult>) {
+          return FirstRow(std::move(released));
+        } else {
+          return released;
+        }
       });
+}
+
+std::future<Result<ReleaseResult>> Session::Submit(
+    const QuerySpec& spec, std::shared_ptr<const StateSequence> data,
+    const DataWindow& window, const RequestOptions& request) {
+  const std::size_t size = data->size();
+  return Enqueue<ReleaseResult>(
+      CompileBatchPlan(engine_, BatchQuerySpec().Add(spec, window), size,
+                       request),
+      std::move(data));
+}
+
+std::future<Result<ReleaseResult>> Session::Submit(
+    const QuerySpec& spec, const StateSequence& data, const DataWindow& window,
+    const RequestOptions& request) {
+  if (window.full_record()) {
+    return Submit(spec, std::make_shared<const StateSequence>(data), window,
+                  request);
+  }
+  // Copy only the window: the task plans Range(0, W) over the slice, which
+  // compiles at the same window length as `window` over `data`.
+  Result<std::pair<std::size_t, std::size_t>> span =
+      ResolveDataWindow(window, data.size());
+  if (!span.ok()) return ReadyError<ReleaseResult>(span.status());
+  const auto [offset, length] = span.value();
+  const auto begin = data.begin() + static_cast<std::ptrdiff_t>(offset);
+  return Submit(spec,
+                std::make_shared<const StateSequence>(
+                    begin, begin + static_cast<std::ptrdiff_t>(length)),
+                DataWindow::Range(0, length), request);
 }
 
 std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
     const std::vector<QuerySpec>& specs, const StateSequence& data) {
-  // One wrapped copy shared by every task instead of one copy per query,
-  // and one compile per unique spec shape instead of one cache probe per
-  // row: a 1k-row batch of one shape builds its cache key once.
+  // One wrapped copy shared by every task instead of one copy per query.
   auto shared = std::make_shared<const StateSequence>(data);
-  std::unordered_map<std::string, Result<PrivacyEngine::CompiledQuery>>
-      compiled_by_key;
   std::vector<std::future<Result<ReleaseResult>>> futures;
   futures.reserve(specs.size());
-  for (const QuerySpec& spec : specs) {
-    std::string key = spec.CacheKey();
-    auto it = compiled_by_key.find(key);
-    if (it == compiled_by_key.end()) {
-      it = compiled_by_key.emplace(std::move(key), engine_->Compile(spec))
-               .first;
-    }
-    if (!it->second.ok()) {
-      futures.push_back(ReadyError(it->second.status()));
-      continue;
-    }
-    futures.push_back(SubmitCompiled(it->second.value(), shared));
-  }
+  for (const QuerySpec& spec : specs) futures.push_back(Submit(spec, shared));
   return futures;
 }
 
@@ -371,131 +273,12 @@ std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
   return futures;
 }
 
-Result<std::uint64_t> Session::ChargeBatchLocked(
-    const CompiledBatchPlan& plan) {
-  const std::size_t rows = plan.num_rows();
-  // Every unique plan must be releasable before anything is recorded
-  // (mirrors ChargeLocked): a batch containing one inapplicable row would
-  // otherwise burn budget on releases that can never be produced.
-  for (const CompiledBatchQuery& q : plan.compiled) {
-    const MechanismPlan& mp = *q.plan;
-    if (!mp.applicable) {
-      return Status::FailedPrecondition(
-          std::string(MechanismKindName(mp.kind)) +
-          " is inapplicable for this model class (no finite noise scale); "
-          "the batch was refused whole and nothing was charged");
-    }
-    if (!std::isfinite(mp.sigma) || mp.sigma < 0.0) {
-      return Status::FailedPrecondition(
-          "plan has no finite noise scale; the batch was refused whole and "
-          "nothing was charged");
-    }
-  }
-  // Theorem 4.4's precondition, checked structurally across the batch
-  // before touching the ledger: every row must release under one active
-  // quilt. The accountant re-checks the (single) batch quilt against the
-  // ledger's recorded identity inside RecordBatchStrict.
-  const MarkovQuilt quilt = PlanActiveQuilt(*plan.compiled.front().plan);
-  for (std::size_t u = 1; u < plan.compiled.size(); ++u) {
-    if (!SameQuiltIdentity(quilt, PlanActiveQuilt(*plan.compiled[u].plan))) {
-      return Status::FailedPrecondition(
-          "batch mixes active quilts (rows would compose under different "
-          "Theorem 4.4 objects); the batch was refused whole and nothing "
-          "was charged");
-    }
-  }
-  // Price the WHOLE batch as one composed charge: K existing releases plus
-  // `rows` new ones compose to (K + rows) * max epsilon. Admitting the
-  // batch at the composed level is equivalent to admitting each row
-  // sequentially (every intermediate composed level is bounded by the
-  // final one), so columnar and scalar submission admit exactly the same
-  // prefixes of work.
-  std::vector<double> epsilons;
-  epsilons.reserve(rows);
-  double batch_max = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double eps =
-        plan.compiled[plan.logical.row_to_unique[r]].plan->epsilon;
-    epsilons.push_back(eps);
-    batch_max = std::max(batch_max, eps);
-  }
-  const double max_epsilon = std::max(accountant_.MaxEpsilon(), batch_max);
-  const double budget = options_.epsilon_budget;
-  if (!ComposedBudgetAdmits(accountant_.num_releases() + rows, max_epsilon,
-                            budget)) {
-    const double prospective =
-        static_cast<double>(accountant_.num_releases() + rows) * max_epsilon;
-    return Status::ResourceExhausted(
-        "privacy budget exhausted: this batch of " + std::to_string(rows) +
-        " releases would compose to epsilon " + std::to_string(prospective) +
-        " > budget " + std::to_string(budget) + "; nothing was charged");
-  }
-  PF_RETURN_NOT_OK(accountant_.RecordBatchStrict(epsilons, quilt));
-  const std::uint64_t first = next_ticket_;
-  next_ticket_ += rows;
-  return first;
-}
-
-std::future<Result<BatchReleaseResult>> Session::SubmitColumnar(
-    const BatchQuerySpec& batch, const StateSequence& data) {
-  return SubmitColumnar(batch, data, RequestOptions{});
-}
-
 std::future<Result<BatchReleaseResult>> Session::SubmitColumnar(
     const BatchQuerySpec& batch, const StateSequence& data,
     const RequestOptions& request) {
-  if (request.deadline.expired()) {
-    return ReadyBatchError(Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged"));
-  }
-  // Compile (all-or-nothing, one engine compile per unique shape) before
-  // claiming any serving resources: a batch that cannot compile should not
-  // occupy an executor slot.
-  Result<CompiledBatchPlan> compiled =
-      CompileBatchPlan(engine_, batch, data.size(), request);
-  if (!compiled.ok()) return ReadyBatchError(compiled.status());
-  // Admission strictly precedes accounting, in the same order as
-  // SubmitCompiled: executor permit, in-flight slot, THEN the batch
-  // charge. A batch shed at either gate resolves to Unavailable with the
-  // ledger untouched; once the charge lands, hand-off cannot fail.
-  Result<Executor::Permit> permit = engine_->executor().TryAcquire();
-  if (!permit.ok()) return ReadyBatchError(permit.status());
-  Status admitted = AdmitInFlight();
-  if (!admitted.ok()) return ReadyBatchError(std::move(admitted));
-  auto in_flight = in_flight_;
-#ifdef PF_FAILPOINTS
-  // Same refusal window as the scalar path: a ledger outage between
-  // admission and the charge returns both slots and charges nothing.
-  {
-    Status injected = FailpointRegistry::Instance().Evaluate("session.charge");
-    if (!injected.ok()) {
-      in_flight->fetch_sub(1, std::memory_order_relaxed);
-      return ReadyBatchError(std::move(injected));  // Permit self-releases.
-    }
-  }
-#endif
-  std::uint64_t first_ticket = 0;
-  {
-    MutexLock lock(mutex_);
-    Result<std::uint64_t> charged = ChargeBatchLocked(compiled.value());
-    if (!charged.ok()) {
-      in_flight->fetch_sub(1, std::memory_order_relaxed);
-      return ReadyBatchError(charged.status());  // Permit self-releases.
-    }
-    first_ticket = charged.value();
-  }
-  auto plan = std::make_shared<const CompiledBatchPlan>(
-      std::move(compiled).value());
-  auto shared = std::make_shared<const StateSequence>(data);
-  return engine_->executor().Submit(
-      std::move(permit).value(),
-      [plan = std::move(plan), shared = std::move(shared), seed = seed_,
-       first_ticket, in_flight = std::move(in_flight)] {
-        Result<BatchReleaseResult> result =
-            ExecuteBatchPlan(*plan, *shared, seed, first_ticket);
-        in_flight->fetch_sub(1, std::memory_order_relaxed);
-        return result;
-      });
+  return Enqueue<BatchReleaseResult>(
+      CompileBatchPlan(engine_, batch, data.size(), request),
+      std::make_shared<const StateSequence>(data));
 }
 
 double Session::EpsilonSpent() const {

@@ -4,10 +4,25 @@
 // releases that would overrun the budget (ResourceExhausted) or mix active
 // quilts (FailedPrecondition — the Theorem 4.4 precondition).
 //
+// One serving path: every release is a compiled batch plan
+// (engine/batch_plan.h). The entry points differ only in where the plan
+// runs and how the result comes back:
+//
+//     Release(spec, data[, window[, request]])        1-row plan, caller thread
+//     Submit(spec, data | shared_ptr[, window[, request]])
+//                                                     1-row plan, executor
+//     SubmitBatch(specs, data) / (spec, databases)    one Submit per row
+//     SubmitColumnar(batch, data[, request])          N-row plan, executor
+//
+// Each compiles (CompileBatchPlan), charges once (Charge: rows = 1 is the
+// scalar case), then runs ExecuteBatchPlan. The async entry points
+// claim an executor permit and an in-flight slot BEFORE the charge, so a
+// shed request never debits epsilon.
+//
 // Determinism: each accepted release draws its noise from an RNG seeded by
-// (session seed, ticket), where tickets are assigned in Submit() call
-// order. Results are therefore bit-identical for any executor thread count
-// and any completion order.
+// (session seed, ticket), where tickets are assigned in call order. Results
+// are therefore bit-identical for any executor thread count, any completion
+// order, and whichever entry point served them.
 #ifndef PUFFERFISH_ENGINE_SESSION_H_
 #define PUFFERFISH_ENGINE_SESSION_H_
 
@@ -47,9 +62,8 @@ struct SessionOptions {
   std::size_t max_in_flight = 0;
 };
 
-// DataWindow lives in engine/batch_plan.h (shared by the scalar windowed
-// overloads below and the columnar batch frontend); it is re-exported here
-// so existing includes of session.h keep compiling.
+// DataWindow lives in engine/batch_plan.h; it is re-exported here so
+// existing includes of session.h keep compiling.
 
 /// One released query: the noisy value plus its accounting facts.
 struct ReleaseResult {
@@ -74,69 +88,41 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// \brief Synchronous point release: compile (cached), charge the
-  /// budget, evaluate and noise the query on the calling thread.
-  Result<ReleaseResult> Release(const QuerySpec& spec,
-                                const StateSequence& data);
-
-  /// \brief As Release, over a window of the record (sliding-window /
-  /// suffix serving for appended streams). The window is resolved against
-  /// `data` now; an out-of-range window is InvalidArgument and charges
-  /// nothing.
-  Result<ReleaseResult> Release(const QuerySpec& spec,
-                                const StateSequence& data,
-                                const DataWindow& window);
-
-  /// \brief As Release, under per-request constraints: an expired deadline
-  /// is refused with DeadlineExceeded before the budget is touched, a
-  /// deadline expiring mid-analysis cancels it at the next checkpoint, and
-  /// `allow_cold_analysis = false` sheds uncached plans with Unavailable.
+  /// \brief Synchronous release: compiles `spec` over `window` as a 1-row
+  /// batch plan (compile cache), charges the budget, then evaluates and
+  /// noises it on the calling thread — no executor permit, no in-flight
+  /// slot. The window is resolved against `data` now; All() (the default)
+  /// compiles against the engine's full record length. Refusals (bad
+  /// window, expired deadline, cold-shed, budget, quilt mismatch) charge
+  /// nothing; a deadline expiring mid-analysis cancels it at the next
+  /// checkpoint.
   Result<ReleaseResult> Release(const QuerySpec& spec,
                                 const StateSequence& data,
-                                const RequestOptions& request);
-  Result<ReleaseResult> Release(const QuerySpec& spec,
-                                const StateSequence& data,
-                                const DataWindow& window,
-                                const RequestOptions& request);
+                                const DataWindow& window = DataWindow::All(),
+                                const RequestOptions& request = {});
 
-  /// \brief Asynchronous release: compilation and budget charging happen
-  /// now (in call order — tickets and the ledger are deterministic), the
-  /// query evaluation and noise draw run on the engine's executor. A spec
-  /// rejected at submit time returns an already-resolved errored future and
-  /// charges nothing.
-  std::future<Result<ReleaseResult>> Submit(const QuerySpec& spec,
-                                            StateSequence data);
-  /// As above, sharing an already-wrapped database (no copy per call).
-  std::future<Result<ReleaseResult>> Submit(
-      const QuerySpec& spec, std::shared_ptr<const StateSequence> data);
-
-  /// \brief Asynchronous release under per-request constraints. Admission
-  /// happens strictly before accounting: the executor slot and the
-  /// session's in-flight cap are claimed first, so a request shed with
-  /// Unavailable (queue full, in-flight cap, cold-shed policy) or refused
-  /// with DeadlineExceeded never debits epsilon.
+  /// \brief Asynchronous release of a 1-row plan: compilation and the
+  /// budget charge happen now (in call order — tickets and the ledger are
+  /// deterministic), evaluation and the noise draw run on the engine's
+  /// executor. Admission happens strictly before accounting: the executor
+  /// slot and the session's in-flight cap are claimed first, so a request
+  /// shed with Unavailable or refused for any reason returns an
+  /// already-resolved errored future and never debits epsilon. This
+  /// overload shares the caller's snapshot (no copy per call).
   std::future<Result<ReleaseResult>> Submit(
       const QuerySpec& spec, std::shared_ptr<const StateSequence> data,
-      const RequestOptions& request);
+      const DataWindow& window = DataWindow::All(),
+      const RequestOptions& request = {});
+  /// As above over a borrowed database: copies the whole record for All(),
+  /// or only the resolved window slice (O(W)) otherwise.
+  std::future<Result<ReleaseResult>> Submit(
+      const QuerySpec& spec, const StateSequence& data,
+      const DataWindow& window = DataWindow::All(),
+      const RequestOptions& request = {});
 
-  /// \brief Asynchronous sliding-window release: the window slice (O(W))
-  /// and the budget charge happen now, in call order; evaluation and the
-  /// noise draw run on the executor. Out-of-range windows return an
-  /// already-resolved errored future and charge nothing.
-  std::future<Result<ReleaseResult>> Submit(const QuerySpec& spec,
-                                            const StateSequence& data,
-                                            const DataWindow& window);
-  /// Sliding-window release under per-request constraints (see above).
-  std::future<Result<ReleaseResult>> Submit(const QuerySpec& spec,
-                                            const StateSequence& data,
-                                            const DataWindow& window,
-                                            const RequestOptions& request);
-
-  /// Many queries against one database (the serving batch path); the
-  /// database is wrapped once and shared by every task, not copied per
-  /// query. Identical (kind, parameters, epsilon) specs are compiled once
-  /// per call — a 1k-row batch of one shape does one compile-cache lookup,
-  /// not 1k.
+  /// Many queries against one database: one Submit per spec over one
+  /// shared copy of `data`, one future per row. Unlike SubmitColumnar, rows
+  /// are admitted and charged independently.
   std::vector<std::future<Result<ReleaseResult>>> SubmitBatch(
       const std::vector<QuerySpec>& specs, const StateSequence& data);
 
@@ -152,15 +138,13 @@ class Session {
   /// cold-shed policy) is refused whole and debits NOTHING. Admission
   /// strictly precedes accounting, exactly like Submit. Row i releases
   /// under ticket first + i, drawing from the same per-ticket noise stream
-  /// the scalar path would — released values are bit-identical to
-  /// submitting the same specs scalar, in order, at any thread count and
-  /// SimdLevel, while skipping the per-row dispatch/future/allocation
+  /// a 1-row Submit would — released values are bit-identical to
+  /// submitting the same specs one by one, in order, at any thread count
+  /// and SimdLevel, while skipping the per-row dispatch/future/allocation
   /// overhead (see bench_batch_serving).
   std::future<Result<BatchReleaseResult>> SubmitColumnar(
-      const BatchQuerySpec& batch, const StateSequence& data);
-  std::future<Result<BatchReleaseResult>> SubmitColumnar(
       const BatchQuerySpec& batch, const StateSequence& data,
-      const RequestOptions& request);
+      const RequestOptions& request = {});
 
   double epsilon_budget() const { return options_.epsilon_budget; }
   /// Asynchronous releases admitted but not yet completed.
@@ -174,37 +158,28 @@ class Session {
   std::size_t num_releases() const;
 
  private:
-  /// Charges one release: refuses quilt mismatches (FailedPrecondition)
-  /// and budget overruns (ResourceExhausted), else records it and returns
-  /// the assigned ticket.
-  Result<std::uint64_t> ChargeLocked(const MechanismPlan& plan)
-      PF_REQUIRES(mutex_);
-
-  /// \brief Charges a whole columnar batch atomically: every unique plan
-  /// must be releasable, every row must share one active quilt (with each
-  /// other and the ledger), and the composed level (K + rows) * max epsilon
-  /// must fit the budget — else the whole batch is refused and nothing is
-  /// recorded. Returns the first of `rows` contiguous tickets.
-  Result<std::uint64_t> ChargeBatchLocked(const CompiledBatchPlan& plan)
-      PF_REQUIRES(mutex_);
+  /// \brief The one charge function (rows = 1 is the scalar case): every
+  /// unique plan must be releasable, every row must share one active quilt
+  /// (with each other and the ledger), and the composed level
+  /// (K + rows) * max epsilon must fit the budget — else the whole plan is
+  /// refused and nothing is recorded. Returns the first of `rows`
+  /// contiguous tickets. Takes the ledger lock for pricing and recording
+  /// only; the `session.charge` failpoint fires before it.
+  Result<std::uint64_t> Charge(const CompiledBatchPlan& plan)
+      PF_EXCLUDES(mutex_);
 
   /// Claims one in-flight slot (CAS against max_in_flight); Unavailable at
   /// the cap. The slot is returned by the task body on completion, or by
   /// the submit path on any failure between admission and hand-off.
   Status AdmitInFlight();
 
-  /// The admission + charge + hand-off tail shared by every Submit
-  /// overload, in the shed-before-charge order: executor permit, in-flight
-  /// slot, budget charge, then the task keeps the permit.
-  std::future<Result<ReleaseResult>> SubmitCompiled(
-      PrivacyEngine::CompiledQuery q,
-      std::shared_ptr<const StateSequence> data);
-
-  /// The noise task body shared by Release and Submit.
-  static Result<ReleaseResult> Execute(const PrivacyEngine::CompiledQuery& q,
-                                       const StateSequence& data,
-                                       std::uint64_t seed,
-                                       std::uint64_t ticket);
+  /// \brief The admission tail shared by Submit and SubmitColumnar, in
+  /// shed-before-charge order: executor permit, in-flight slot, charge,
+  /// then the executor task (which keeps the permit) runs ExecuteBatchPlan.
+  /// T is ReleaseResult (row 0 of a 1-row plan) or BatchReleaseResult.
+  template <typename T>
+  std::future<Result<T>> Enqueue(Result<CompiledBatchPlan> compiled,
+                                 std::shared_ptr<const StateSequence> data);
 
   PrivacyEngine* const engine_;
   const SessionOptions options_;

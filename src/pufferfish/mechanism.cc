@@ -52,34 +52,10 @@ Status CheckReleasable(const MechanismPlan& plan, double lipschitz) {
 }
 }  // namespace
 
-Result<double> Release(const MechanismPlan& plan, double value,
-                       double lipschitz, Rng* rng) {
-  PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
-  return AddLaplaceNoise(value, lipschitz * plan.sigma, rng);
-}
-
 Result<Vector> ReleaseVector(const MechanismPlan& plan, const Vector& value,
                              double lipschitz, Rng* rng) {
   PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
   return AddLaplaceNoise(value, lipschitz * plan.sigma, rng);
-}
-
-Result<Vector> ReleaseBatch(const MechanismPlan& plan,
-                            const std::vector<double>& values,
-                            double lipschitz, Rng* rng) {
-  PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
-  return AddLaplaceNoise(values, lipschitz * plan.sigma, rng);
-}
-
-Result<std::vector<Vector>> ReleaseBatch(const MechanismPlan& plan,
-                                         const std::vector<Vector>& values,
-                                         double lipschitz, Rng* rng) {
-  PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
-  std::vector<Vector> out;
-  out.reserve(values.size());
-  const double scale = lipschitz * plan.sigma;
-  for (const Vector& v : values) out.push_back(AddLaplaceNoise(v, scale, rng));
-  return out;
 }
 
 Status ReleaseBatchColumnar(

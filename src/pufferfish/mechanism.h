@@ -6,7 +6,8 @@
 //        |  Analyze(epsilon)          expensive, data-independent
 //        v
 //     MechanismPlan (sigma, diagnostics)
-//        |  Release / ReleaseBatch    cheap, per query, explicit Rng
+//        |  ReleaseVector /           cheap, per query, explicit Rng
+//        |  ReleaseBatchColumnar
 //        v
 //     noisy value(s)
 //
@@ -168,29 +169,20 @@ class Mechanism {
 
 // ----------------------------------------------------------------------
 // The release half of the lifecycle: free functions of the plan. These are
-// the only places in the library that add mechanism noise.
+// the only places in the library that add noise under a MechanismPlan.
+// The pre-engine release helpers (LaplaceDpMechanism, GroupDpMechanism,
+// Gk16Release*, MqmRelease*, WassersteinMechanism::Release) still add
+// noise of their own for the paper experiments; nothing in the serving
+// path calls them.
 // ----------------------------------------------------------------------
 
-/// Releases one scalar L-Lipschitz query value: value + L * sigma * Lap(1).
-Result<double> Release(const MechanismPlan& plan, double value,
-                       double lipschitz, Rng* rng);
-
 /// Releases one vector query that is L-Lipschitz in L1 over the whole
-/// vector: independent L * sigma * Lap(1) noise per coordinate.
+/// vector: independent L * sigma * Lap(1) noise per coordinate. A scalar
+/// query is a 1-vector; many scalar values under one plan are one Vector
+/// (noise is independent per coordinate either way). Composition is the
+/// caller's ledger (see CompositionAccountant).
 Result<Vector> ReleaseVector(const MechanismPlan& plan, const Vector& value,
                              double lipschitz, Rng* rng);
-
-/// \brief Batch release of many scalar query values under one plan — the
-/// serving-path fast route: one analysis, N cheap draws. Composition is the
-/// caller's ledger (see CompositionAccountant).
-Result<Vector> ReleaseBatch(const MechanismPlan& plan,
-                            const std::vector<double>& values,
-                            double lipschitz, Rng* rng);
-
-/// Batch release of many vector query values under one plan.
-Result<std::vector<Vector>> ReleaseBatch(const MechanismPlan& plan,
-                                         const std::vector<Vector>& values,
-                                         double lipschitz, Rng* rng);
 
 /// \brief Columnar batch release — the noise half of the columnar serving
 /// path. `batch` arrives with truth values, per-row noise scales

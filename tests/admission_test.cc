@@ -87,7 +87,7 @@ TEST(AdmissionTest, UnboundedQueueNeverSheds) {
 // ------------------------------------- shed never debits the ledger --------
 
 // With the engine's queue artificially full, a session Submit is refused
-// with Unavailable strictly BEFORE ChargeLocked: the epsilon ledger stays
+// with Unavailable strictly BEFORE the charge: the epsilon ledger stays
 // untouched, and the very same request succeeds once load drops.
 TEST(AdmissionTest, ShedSubmitNeverDebitsBudgetAndRecovers) {
   EngineOptions options;
@@ -150,7 +150,7 @@ TEST(AdmissionTest, InFlightCapShedsPreChargeAndReopens) {
       },
       /*lipschitz=*/1.0, /*epsilon=*/1.0);
 
-  auto held = session->Submit(blocking, data, RequestOptions{});
+  auto held = session->Submit(blocking, data);
   EXPECT_EQ(session->in_flight(), 1u);
 
   // At the cap: refused with Unavailable, nothing charged for the refusal.

@@ -9,7 +9,7 @@
 struct Plan {};
 
 struct Session {
-  int ChargeLocked(const Plan& p);
+  int Charge(const Plan& p);
   int ReleaseVector(const Plan& p);
   bool TryAcquire();
 
@@ -18,7 +18,7 @@ struct Session {
   }
 
   int BadOrder(const Plan& p) {
-    int ticket = ChargeLocked(p);  // Charge precedes admission.
+    int ticket = Charge(p);  // Charge precedes admission.
     if (!TryAcquire()) {
       return -1;  // Shed AFTER the ledger was already debited.
     }

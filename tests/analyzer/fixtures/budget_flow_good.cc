@@ -5,7 +5,7 @@
 struct Plan {};
 
 struct Session {
-  int ChargeLocked(const Plan& p);
+  int Charge(const Plan& p);
   int ReleaseVector(const Plan& p);
   bool TryAcquire();
 
@@ -13,7 +13,7 @@ struct Session {
     if (!TryAcquire()) {
       return -1;  // Shed before the ledger is touched.
     }
-    int ticket = ChargeLocked(p);
+    int ticket = Charge(p);
     if (ticket < 0) {
       return ticket;  // Refused: no release happens.
     }
@@ -26,9 +26,9 @@ struct Session {
     }
     int ticket = 0;
     if (strict) {
-      ticket = ChargeLocked(p);
+      ticket = Charge(p);
     } else {
-      ticket = ChargeLocked(p);
+      ticket = Charge(p);
     }
     return ReleaseVector(p);  // Charged on BOTH branches of the join.
   }

@@ -60,6 +60,9 @@ def main():
         pairs = [
             ("budget-flow", "budget-flow", ["--all-files-in-scope"],
              "budget_flow_bad.cc", "budget_flow_good.cc", ["[budget-flow]"]),
+            ("budget-flow plan", "budget-flow", ["--all-files-in-scope"],
+             "budget_flow_plan_bad.cc", "budget_flow_plan_good.cc",
+             ["[budget-flow]"]),
             ("determinism", "determinism", ["--pin-files", "determinism_"],
              "determinism_bad.cc", "determinism_good.cc", ["[determinism]"]),
             ("lock-order", "lock-order", [],
@@ -95,6 +98,11 @@ def main():
               "ReleaseVector" in out and "not dominated" in out, out)
         check("budget-flow: detects charge-before-permit",
               "precedes admission" in out, out)
+        code, out = run([fixture("budget_flow_plan_bad.cc"), "--rules",
+                         "budget-flow", "--all-files-in-scope",
+                         "--baseline", no_baseline])
+        check("budget-flow: detects uncharged ExecuteBatchPlan",
+              "ExecuteBatchPlan" in out and "not dominated" in out, out)
         code, out = run([fixture("lock_order_bad.cc"), "--rules",
                          "lock-order", "--baseline", no_baseline])
         check("lock-order: detects AB/BA cycle", "cycle" in out, out)

@@ -252,7 +252,7 @@ TEST(DeadlineTest, ExpiredDeadlineNeverDebitsTheLedger) {
   expired.deadline = Deadline::Expired();
   auto future = session->Submit(
       QuerySpec::Sum(1.0), std::make_shared<const StateSequence>(data),
-      expired);
+      DataWindow::All(), expired);
   const auto result = future.get();
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded);
@@ -262,7 +262,8 @@ TEST(DeadlineTest, ExpiredDeadlineNeverDebitsTheLedger) {
   EXPECT_EQ(engine->executor().stats().submitted, 0u);
 
   // Synchronous Release honors the same contract.
-  const auto released = session->Release(QuerySpec::Sum(1.0), data, expired);
+  const auto released =
+      session->Release(QuerySpec::Sum(1.0), data, DataWindow::All(), expired);
   ASSERT_FALSE(released.ok());
   EXPECT_EQ(released.status().code(), StatusCode::kDeadlineExceeded);
   EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.0);

@@ -33,6 +33,7 @@ MarkovChain SweepChain(double p0, double p1) {
 const char* const kServingSites[] = {
     "analysis_cache.analyze",
     "analysis_cache.extend",
+    "batch.execute",
     "engine.compile",
     "engine.load_analyses",
     "plan_store.crash_before_rename",
@@ -45,7 +46,6 @@ const char* const kServingSites[] = {
     "plan_store.sync_dir",
     "plan_store.write",
     "session.charge",
-    "session.execute",
 };
 
 /// One full pass over the serving surface: cold compile + async release,
@@ -68,7 +68,8 @@ std::vector<Status> ServingWorkload(const std::string& tag) {
   auto engine = std::move(engine_or).value();
 
   // Cold compile + async release through a session (covers engine.compile,
-  // analysis_cache.analyze, session.charge, session.execute).
+  // analysis_cache.analyze, session.charge, batch.execute — the one execute
+  // body every release runs).
   SessionOptions session_options;
   session_options.seed = 7;
   auto session = engine->CreateSession(session_options);
@@ -195,7 +196,9 @@ TEST_F(FailpointSweepTest, ProbabilisticSweepUnderEightThreads) {
 }
 
 // A pre-charge injected refusal (session.charge) must never debit the
-// session's epsilon ledger — the permit/charge ordering contract.
+// session's epsilon ledger — the permit/charge ordering contract — on
+// either the async or the synchronous path (one charge function serves
+// both).
 TEST_F(FailpointSweepTest, InjectedChargeRefusalNeverDebitsBudget) {
   auto& reg = FailpointRegistry::Instance();
   const ModelSpec model = ModelSpec::ChainClass({SweepChain(0.8, 0.7)}, 40);
@@ -212,7 +215,12 @@ TEST_F(FailpointSweepTest, InjectedChargeRefusalNeverDebitsBudget) {
   EXPECT_EQ(session->num_releases(), 0u);
   EXPECT_EQ(session->in_flight(), 0u) << "refusal must return its slot";
 
-  // And the very next submit, with the injection spent, serves normally.
+  reg.ArmOnce("session.charge");
+  EXPECT_FALSE(session->Release(QuerySpec::Sum(1.0), data).ok());
+  EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.0);
+  EXPECT_EQ(session->num_releases(), 0u);
+
+  // And the very next release, with the injection spent, serves normally.
   auto served = session->Submit(QuerySpec::Sum(1.0), data);
   EXPECT_TRUE(served.get().ok());
   EXPECT_GT(session->EpsilonSpent(), 0.0);

@@ -59,9 +59,9 @@ TEST(MechanismTest, AllSevenMechanismsReachable) {
     EXPECT_GT(plan.value().sigma, 0.0);
     EXPECT_TRUE(std::isfinite(plan.value().sigma));
     EXPECT_EQ(plan.value().cache_hit_count(), 0u);
-    const Result<double> released = Release(plan.value(), 5.0, 1.0, &rng);
+    const Result<Vector> released = ReleaseVector(plan.value(), {5.0}, 1.0, &rng);
     ASSERT_TRUE(released.ok());
-    EXPECT_TRUE(std::isfinite(released.value()));
+    EXPECT_TRUE(std::isfinite(released.value()[0]));
   }
 }
 
@@ -88,31 +88,23 @@ TEST(MechanismTest, PlanMatchesLegacyMqmExact) {
 TEST(MechanismTest, SeededReleaseMatchesLegacyPath) {
   const auto plan = GroupDpUnified(4.0).Analyze(2.0).ValueOrDie();
   Rng rng_a(123), rng_b(123);
-  const double via_engine = Release(plan, 1.5, 1.0, &rng_a).ValueOrDie();
+  const double via_engine =
+      ReleaseVector(plan, {1.5}, 1.0, &rng_a).ValueOrDie()[0];
   const double via_legacy = MqmReleaseScalar(1.5, 1.0, plan.sigma, &rng_b);
   EXPECT_DOUBLE_EQ(via_engine, via_legacy);
 }
 
-TEST(MechanismTest, ReleaseBatchMatchesScalarLoop) {
+// Many scalar values under one plan are one Vector: the same stream as
+// releasing them one at a time.
+TEST(MechanismTest, ReleaseVectorMatchesPerValueLoop) {
   const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
-  const std::vector<double> values = {1.0, 2.0, 3.0, 4.0};
+  const Vector values = {1.0, 2.0, 3.0, 4.0};
   Rng rng_a(9), rng_b(9);
-  const Vector batch = ReleaseBatch(plan, values, 1.0, &rng_a).ValueOrDie();
+  const Vector batch = ReleaseVector(plan, values, 1.0, &rng_a).ValueOrDie();
   ASSERT_EQ(batch.size(), values.size());
   for (std::size_t i = 0; i < values.size(); ++i) {
-    EXPECT_DOUBLE_EQ(batch[i], Release(plan, values[i], 1.0, &rng_b).ValueOrDie());
-  }
-}
-
-TEST(MechanismTest, ReleaseBatchOfVectors) {
-  const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
-  Rng rng(11);
-  const std::vector<Vector> truths = {{1.0, 2.0}, {3.0, 4.0}, {5.0, 6.0}};
-  const auto noisy = ReleaseBatch(plan, truths, 1.0, &rng).ValueOrDie();
-  ASSERT_EQ(noisy.size(), truths.size());
-  for (std::size_t i = 0; i < truths.size(); ++i) {
-    ASSERT_EQ(noisy[i].size(), truths[i].size());
-    for (double v : noisy[i]) EXPECT_TRUE(std::isfinite(v));
+    EXPECT_DOUBLE_EQ(batch[i],
+                     ReleaseVector(plan, {values[i]}, 1.0, &rng_b).ValueOrDie()[0]);
   }
 }
 
@@ -123,7 +115,7 @@ TEST(MechanismTest, Gk16InapplicablePlanRefusesRelease) {
       Gk16Unified(std::vector<Matrix>{sticky}, 100).Analyze(1.0).ValueOrDie();
   EXPECT_FALSE(plan.applicable);
   Rng rng(1);
-  const Result<double> released = Release(plan, 0.0, 1.0, &rng);
+  const Result<Vector> released = ReleaseVector(plan, {0.0}, 1.0, &rng);
   EXPECT_FALSE(released.ok());
   EXPECT_EQ(released.status().code(), StatusCode::kFailedPrecondition);
 }

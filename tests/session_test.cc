@@ -448,6 +448,28 @@ TEST(SessionWindowTest, AsyncWindowSubmitMatchesSyncRelease) {
   EXPECT_EQ(sync.epsilon, async.epsilon);
 }
 
+// An explicit DataWindow::All() is the default argument, not a window the
+// size of `data`: both compile against the engine's full record length, so
+// a database shorter than record_length() releases the same value at the
+// same ticket either way (Mean's 1/T is the model's T in both).
+TEST(SessionWindowTest, ExplicitAllMatchesDefaultOnShortDatabase) {
+  auto engine = ChainEngine(20);
+  SessionOptions options;
+  options.seed = 9;
+  const StateSequence shorter{1, 0, 1, 1, 0, 1, 1, 1};
+  ASSERT_LT(shorter.size(), engine->record_length());
+  const ReleaseResult implicit_all =
+      engine->CreateSession(options)
+          ->Release(QuerySpec::Mean(1.0), shorter)
+          .ValueOrDie();
+  const ReleaseResult explicit_all =
+      engine->CreateSession(options)
+          ->Release(QuerySpec::Mean(1.0), shorter, DataWindow::All())
+          .ValueOrDie();
+  EXPECT_EQ(implicit_all.ticket, explicit_all.ticket);
+  EXPECT_EQ(implicit_all.value[0], explicit_all.value[0]);
+}
+
 TEST(SessionTest, SubmitBatchManyQueriesOneDatabase) {
   auto engine = LaplaceEngine();
   auto session = engine->CreateSession();

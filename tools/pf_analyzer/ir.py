@@ -21,7 +21,7 @@ from typing import Dict, List, Optional
 class Call:
     """One call site: `name(args)` or `recv.name(args)` / `recv->name(args)`.
 
-    `name` is the unqualified callee (`ChargeLocked`), `qualified` keeps any
+    `name` is the unqualified callee (`Charge`), `qualified` keeps any
     explicit qualifier chain (`Status::OK`, `engine_->executor().Submit`),
     and `receiver` the textual receiver (`engine_->executor()`), empty for
     free calls. `arg_text` is the flattened argument source text.
@@ -72,8 +72,8 @@ class Stmt:
 class Function:
     """One function definition with a body."""
 
-    name: str  # Unqualified: 'SubmitCompiled'.
-    qualified: str  # 'pf::Session::SubmitCompiled'.
+    name: str  # Unqualified: 'Enqueue'.
+    qualified: str  # 'pf::Session::Enqueue'.
     cls: str  # Enclosing class ('Session'), '' for free functions.
     file: str  # Repo-relative path.
     line: int

@@ -4,12 +4,11 @@ and admission (permit acquisition) precedes the charge.
 The serving contract (PR 2 pricing, PR 8 shed-before-charge ordering):
 
   1. On every path through Session/PrivacyEngine that reaches a release
-     site — a noise release (`ReleaseVector`), the shared task body
-     (`Execute`), or an executor enqueue (`executor().Submit`) — a budget
-     charge (`ChargeLocked` / `ChargeBatchLocked` / `RecordRelease*` /
-     `RecordBatchStrict` / `ComposedBudgetAdmits`)
-     must already have happened. An uncharged path is a privacy bug: noise
-     goes out without the ledger recording it.
+     site — a noise release (`ReleaseVector`), the one execute body
+     (`ExecuteBatchPlan`), or an executor enqueue (`executor().Submit`) — a
+     budget charge (`Charge` / `RecordRelease*` / `RecordBatchStrict` /
+     `ComposedBudgetAdmits`) must already have happened. An uncharged path
+     is a privacy bug: noise goes out without the ledger recording it.
 
   2. In any function that acquires admission permits (`TryAcquire`,
      `AdmitInFlight`), every charge must be dominated by a permit
@@ -30,11 +29,10 @@ from . import dataflow
 WHY = ("every release must be dominated by a Theorem 4.4 budget charge, "
        "and permit acquisition must precede the charge (shed-before-charge)")
 
-RELEASE_CALLS = {"Execute", "ReleaseVector"}
+RELEASE_CALLS = {"ExecuteBatchPlan", "ReleaseVector"}
 ENQUEUE_CALL = "Submit"  # Only on a receiver mentioning the executor.
-CHARGE_CALLS = {"ChargeLocked", "ChargeBatchLocked", "RecordRelease",
-                "RecordReleaseStrict", "RecordBatchStrict",
-                "ComposedBudgetAdmits"}
+CHARGE_CALLS = {"Charge", "RecordRelease", "RecordReleaseStrict",
+                "RecordBatchStrict", "ComposedBudgetAdmits"}
 PERMIT_CALLS = {"TryAcquire", "AdmitInFlight"}
 
 

@@ -7,7 +7,8 @@
 // fixed-overhead legs ride along: BM_CompileWarm (a warm Compile, both
 // caches hot — the lookup every served query pays) and BM_SessionCharge
 // (a synchronous Release of a trivial query on a sensitivity model, so the
-// ledger charge and plan bookkeeping dominate).
+// ledger charge and plan bookkeeping dominate). BM_BatchLaplaceNoise times
+// the noise kernel on its own, rows {1, 1024} x width {1, 8}.
 //
 // The acceptance claim is the items_per_second ratio of
 // BM_ColumnarSubmit/1024/1 over BM_ScalarSubmitBatch/1024/1 (single
@@ -19,10 +20,13 @@
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/random.h"
+#include "engine/batch_kernels.h"
 #include "engine/engine.h"
 #include "graphical/markov_chain.h"
 
@@ -173,6 +177,32 @@ BENCHMARK(BM_ColumnarSubmit)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CompileBatchPlan)->Arg(1024)->Unit(benchmark::kMicrosecond);
+
+/// The noise kernel alone: `rows` rows of `width` draws each, one fresh
+/// per-ticket generator per row (the cost SubmitColumnar's noise stage and
+/// every 1-row Release pay), isolated from planning and aggregation.
+void BM_BatchLaplaceNoise(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  const std::size_t width = static_cast<std::size_t>(state.range(1));
+  std::vector<std::size_t> offsets(rows + 1);
+  for (std::size_t r = 0; r <= rows; ++r) offsets[r] = r * width;
+  std::vector<double> values(rows * width, 0.0);
+  std::vector<double> scales(rows, 2.0);
+  std::vector<std::uint64_t> seeds(rows);
+  std::uint64_t ticket = 0;
+  for (auto _ : state) {
+    for (std::uint64_t& seed : seeds) seed = TicketNoiseSeed(42, ++ticket);
+    BatchLaplaceNoise(values.data(), offsets.data(), scales.data(),
+                      seeds.data(), rows);
+    benchmark::DoNotOptimize(values.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+  state.counters["rows"] = static_cast<double>(rows);
+  state.counters["width"] = static_cast<double>(width);
+}
+BENCHMARK(BM_BatchLaplaceNoise)->ArgsProduct({{1, 1024}, {1, 8}});
 
 void BM_CompileWarm(benchmark::State& state) {
   auto engine = ServingEngine(1);

@@ -160,17 +160,26 @@ __attribute__((target("avx2"))) void ClipScalesAvx2(const double* lipschitz,
 // An exact replica of libstdc++'s std::mt19937_64
 // (std::mersenne_twister_engine<uint64_t, 64, 312, 156, 31,
 // 0xb5026f5aa96619e9, 29, 0x5555555555555555, 17, 0x71d67fffeda60000, 37,
-// 0xfff7eee000000000, 43, 6364136223846793005>) with the states of
-// kNoiseLanes rows kept lane-major: the seeding recurrence and the twist
-// are strictly serial per generator (each word depends on the previous),
-// but independent across rows, so interleaving them lets the multiply
-// chains pipeline instead of stalling — roughly a lane-count speedup on
-// the state setup that dominates per-ticket noise cost. The per-draw
-// conversion replicates uniform_real_distribution<double>(0, 1): one
-// tempered 64-bit output divided by 2^64, with generate_canonical's
-// below-1.0 clamp. Pinned bit-for-bit against std:: by
-// BatchLaplaceNoiseMatchesPerRowRngBitForBit and the scalar-vs-columnar
-// serving suite.
+// 0xfff7eee000000000, 43, 6364136223846793005>), materialised lazily.
+// std:: seeds all 312 state words and twists all of them before the first
+// output, but output k is temper(twisted word k), and std::'s in-place twist
+// computes word k from words k, k + 1 and k + 156 (mod 312) as they stand
+// when the pass reaches k. Twisting word k only when it is drawn therefore
+// yields the same stream, and a freshly seeded engine's first d <= 156
+// outputs read only seed words [0, 156 + d). Each lane keeps a seeded and a
+// draw cursor: a row of d draws costs 156 + d seeding steps and d twist
+// steps instead of 312 + 312. Drawing past word 311 starts the next
+// generation exactly as std::'s regular retwist does, and a u = 0 redraw
+// past the seeded prefix extends it.
+//
+// The seeding recurrence is strictly serial per engine (each word depends
+// on the previous) but independent across rows, so groups of kNoiseLanes
+// rows seed their shared prefix interleaved and the multiply chains
+// pipeline. The per-draw conversion replicates
+// uniform_real_distribution<double>(0, 1): one tempered 64-bit output
+// divided by 2^64, with generate_canonical's below-1.0 clamp. Pinned
+// bit-for-bit against std:: by the BatchLaplaceNoise* kernel tests and the
+// scalar-vs-columnar serving suite.
 
 constexpr std::size_t kMtN = 312;
 constexpr std::size_t kMtM = 156;
@@ -180,10 +189,14 @@ constexpr std::uint64_t kMtLowerMask = 0x000000007fffffffULL;
 constexpr std::uint64_t kMtInitMult = 6364136223846793005ULL;
 constexpr std::size_t kNoiseLanes = 8;
 
-/// State words of kNoiseLanes independent engines, word-index major so the
-/// interleaved loops touch consecutive memory across lanes.
-struct MtLaneBlock {
-  std::uint64_t state[kMtN][kNoiseLanes];
+/// One row's engine, contiguous so a narrow row touches only the cache
+/// lines of its prefix. Words [0, pos) are twisted for the current
+/// generation; words [pos, seeded) still hold the previous generation (the
+/// seeding sequence, at first); `pos` is the next word to twist and output.
+struct MtLane {
+  std::uint64_t s[kMtN];
+  std::size_t seeded;
+  std::size_t pos;
 };
 
 inline std::uint64_t MtTemper(std::uint64_t y) {
@@ -202,49 +215,45 @@ inline std::uint64_t MtTwistWord(std::uint64_t xk, std::uint64_t xk1,
   return xkm ^ (y >> 1) ^ (kMtMatrixA & (0 - (y & 1ULL)));
 }
 
-void MtSeedLanes(MtLaneBlock* mt, const std::uint64_t* seeds,
-                 std::size_t lanes) {
-  for (std::size_t l = 0; l < lanes; ++l) mt->state[0][l] = seeds[l];
-  for (std::size_t i = 1; i < kMtN; ++i) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::uint64_t prev = mt->state[i - 1][l];
-      mt->state[i][l] =
-          kMtInitMult * (prev ^ (prev >> 62)) + static_cast<std::uint64_t>(i);
-    }
-  }
+/// Seed words that drawing words [0, end) of the first generation reads:
+/// word k < 156 reads s[k + 156], word k >= 156 reads s[k + 1].
+inline std::size_t MtSeedPrefix(std::size_t end) {
+  return std::min(kMtN, end + kMtM);
 }
 
-void MtTwistLanes(MtLaneBlock* mt, std::size_t lanes) {
-  auto& s = mt->state;
-  for (std::size_t k = 0; k < kMtN - kMtM; ++k) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[k][l] = MtTwistWord(s[k][l], s[k + 1][l], s[k + kMtM][l]);
-    }
-  }
-  for (std::size_t k = kMtN - kMtM; k < kMtN - 1; ++k) {
-    for (std::size_t l = 0; l < lanes; ++l) {
-      s[k][l] = MtTwistWord(s[k][l], s[k + 1][l], s[k + kMtM - kMtN][l]);
-    }
-  }
+inline std::uint64_t MtSeedWord(std::uint64_t prev, std::size_t i) {
+  return kMtInitMult * (prev ^ (prev >> 62)) + static_cast<std::uint64_t>(i);
+}
+
+/// Seeds `lanes` engines from seeds[] to `end` seed words each,
+/// interleaved across lanes.
+void MtSeedLanes(MtLane* mt, const std::uint64_t* seeds, std::size_t lanes,
+                 std::size_t end) {
   for (std::size_t l = 0; l < lanes; ++l) {
-    s[kMtN - 1][l] = MtTwistWord(s[kMtN - 1][l], s[0][l], s[kMtM - 1][l]);
+    mt[l].s[0] = seeds[l];
+    mt[l].seeded = end;
+    mt[l].pos = 0;
+  }
+  for (std::size_t i = 1; i < end; ++i) {
+    for (std::size_t l = 0; l < lanes; ++l) {
+      mt[l].s[i] = MtSeedWord(mt[l].s[i - 1], i);
+    }
   }
 }
 
-/// Retwist a single lane in place (stride kNoiseLanes words). Cold path:
-/// only a row needing more than 312 draws — a vector row wider than the
-/// state, or a redraw cascade — reaches it.
-void MtTwistStrided(std::uint64_t* lane0) {
-  auto at = [lane0](std::size_t i) -> std::uint64_t& {
-    return lane0[i * kNoiseLanes];
-  };
-  for (std::size_t k = 0; k < kMtN - kMtM; ++k) {
-    at(k) = MtTwistWord(at(k), at(k + 1), at(k + kMtM));
+/// The lane's next output: twists word `pos` in place and tempers it.
+inline std::uint64_t MtNext(MtLane* mt) {
+  if (mt->pos == kMtN) mt->pos = 0;  // The next generation.
+  const std::size_t k = mt->pos++;
+  std::uint64_t* s = mt->s;
+  // Only a redraw reads past the seed prefix its group was given.
+  for (; mt->seeded < MtSeedPrefix(k + 1); ++mt->seeded) {
+    s[mt->seeded] = MtSeedWord(s[mt->seeded - 1], mt->seeded);
   }
-  for (std::size_t k = kMtN - kMtM; k < kMtN - 1; ++k) {
-    at(k) = MtTwistWord(at(k), at(k + 1), at(k + kMtM - kMtN));
-  }
-  at(kMtN - 1) = MtTwistWord(at(kMtN - 1), at(0), at(kMtM - 1));
+  const std::size_t next = k + 1 == kMtN ? 0 : k + 1;
+  const std::size_t mid = k < kMtN - kMtM ? k + kMtM : k + kMtM - kMtN;
+  s[k] = MtTwistWord(s[k], s[next], s[mid]);
+  return MtTemper(s[k]);
 }
 
 /// uniform_real_distribution<double>(0, 1) on a 64-bit engine output,
@@ -292,28 +301,27 @@ void ClipScales(const double* lipschitz, const double* sigmas, std::size_t n,
 void BatchLaplaceNoise(double* values, const std::size_t* offsets,
                        const double* scales, const std::uint64_t* seeds,
                        std::size_t rows) {
-  MtLaneBlock mt;  // ~20 KB: one group of engine states, reused per group.
+  // ~20 KB, left uninitialised: each row writes the words of its prefix
+  // before reading them, and touches no others.
+  MtLane mt[kNoiseLanes];
   for (std::size_t base = 0; base < rows; base += kNoiseLanes) {
     const std::size_t lanes = std::min(kNoiseLanes, rows - base);
-    MtSeedLanes(&mt, seeds + base, lanes);
-    MtTwistLanes(&mt, lanes);
+    std::size_t widest = 0;
+    for (std::size_t r = base; r < base + lanes; ++r) {
+      widest = std::max(widest, offsets[r + 1] - offsets[r]);
+    }
+    MtSeedLanes(mt, seeds + base, lanes, MtSeedPrefix(widest));
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t r = base + l;
       double* out = values + offsets[r];
       const std::size_t n = offsets[r + 1] - offsets[r];
       const double scale = scales[r];
-      std::size_t p = 0;
       for (std::size_t j = 0; j < n; ++j) {
         // Rng::Laplace's boundary redraw: u = 0 maps to log(0), so the
         // scalar path discards it; discard the same draws here.
         double u;
         do {
-          if (p == kMtN) {
-            MtTwistStrided(&mt.state[0][l]);
-            p = 0;
-          }
-          u = MtUnitDraw(MtTemper(mt.state[p][l]));
-          ++p;
+          u = MtUnitDraw(MtNext(&mt[l]));
         } while (u == 0.0);
         out[j] += LaplaceInverseCdf(u, scale);
       }

@@ -79,12 +79,15 @@ void ClipScales(const double* lipschitz, const double* sigmas, std::size_t n,
 ///
 /// for every row: each row consumes the exact mt19937_64 +
 /// uniform_real_distribution<double>(0, 1) draw sequence (pinned against
-/// std:: by the batch-kernels replica test and the scalar-vs-columnar
-/// suite). What changes is scheduling only: the per-row generator setup —
-/// 312 serial seeding multiplies plus the first twist, the dominant cost
-/// of one-ticket-one-stream serving — runs interleaved across groups of
-/// rows so the independent recurrences pipeline. Not SIMD-dispatched:
-/// every SimdLevel runs this same integer code.
+/// std:: by the BatchLaplaceNoise* kernel tests and the scalar-vs-columnar
+/// suite). What changes is the work done, not the stream: std:: seeds and
+/// twists all 312 state words before a row's first draw, but a row of
+/// d <= 156 draws reads only the first 156 + d seed words and d twisted
+/// words, so the kernel seeds each group of rows only that far (interleaved
+/// across the group, so the serial seeding recurrences pipeline) and twists
+/// each state word when it is drawn. Wider rows, the regular retwist after
+/// 312 draws and the u = 0 redraw extend a row's state on demand. Not
+/// SIMD-dispatched: every SimdLevel runs this same integer code.
 void BatchLaplaceNoise(double* values, const std::size_t* offsets,
                        const double* scales, const std::uint64_t* seeds,
                        std::size_t rows);

@@ -76,11 +76,10 @@ Status ReleaseBatchColumnar(
           "row " + std::to_string(r) + " has no finite noise scale");
     }
   }
-  // One interleaved noise pass (engine/batch_kernels): bit-identical to
-  // seeding a per-row Rng(TicketNoiseSeed(seed, ticket)) and calling
-  // AddLaplaceNoise row by row, but with the generator setup pipelined
-  // across rows — the per-ticket mt19937_64 init is the scalar serving
-  // path's dominant cost.
+  // One noise pass (engine/batch_kernels): bit-identical to seeding a
+  // per-row Rng(TicketNoiseSeed(seed, ticket)) and calling AddLaplaceNoise
+  // row by row, but each row's mt19937_64 is built only as far as the row
+  // draws from it, with the seeding interleaved across rows.
   const std::uint64_t* tickets = batch->tickets();
   std::vector<std::uint64_t> seeds(rows);
   for (std::size_t r = 0; r < rows; ++r) {

@@ -356,5 +356,71 @@ TEST(BatchKernelsTest, BatchLaplaceNoiseMatchesPerRowRngBitForBit) {
   }
 }
 
+/// Runs BatchLaplaceNoise over rows of the given widths and checks every
+/// value bit for bit against a fresh Rng(seed) + AddLaplaceNoise per row.
+void ExpectBatchNoiseMatchesRng(const std::vector<std::size_t>& widths,
+                                std::uint64_t salt) {
+  const std::size_t rows = widths.size();
+  std::vector<std::size_t> offsets(rows + 1, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    offsets[r + 1] = offsets[r] + widths[r];
+  }
+  std::vector<double> expected(offsets[rows]);
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    expected[i] = 0.5 * static_cast<double>(i % 11) - 2.0;
+  }
+  std::vector<double> actual = expected;
+  std::vector<double> scales(rows);
+  std::vector<std::uint64_t> seeds(rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    scales[r] = 0.75 + 0.25 * static_cast<double>(r % 5);
+    seeds[r] = TicketNoiseSeed(salt, r + 1);
+    Rng rng(seeds[r]);
+    AddLaplaceNoise(expected.data() + offsets[r], widths[r], scales[r], &rng);
+  }
+  BatchLaplaceNoise(actual.data(), offsets.data(), scales.data(), seeds.data(),
+                    rows);
+  for (std::size_t r = 0; r < rows; ++r) {
+    for (std::size_t i = offsets[r]; i < offsets[r + 1]; ++i) {
+      ASSERT_TRUE(BitEqual(expected[i], actual[i]))
+          << "salt " << salt << ", row " << r << " of " << rows << " (width "
+          << widths[r] << "), draw " << i - offsets[r];
+    }
+  }
+}
+
+TEST(BatchKernelsTest, BatchLaplaceNoiseLazyPrefixBoundaries) {
+  // The kernel seeds a group's engines only to 156 + (widest row) words and
+  // twists each state word only when it is drawn. Widths straddle every
+  // boundary of that scheme: the 156-word half state (where the twist
+  // switches from reading seed words to reading already-twisted ones), the
+  // 312-word state (the regular retwist) and its double. Groups of 1, 7, 8
+  // and 9 rows cover a lone lane, a partial group, a full group and a full
+  // group plus a tail that reuses lane 0's storage.
+  const std::vector<std::size_t> boundary = {0,   1,   8,   155, 156, 157,
+                                             311, 312, 313, 624, 625};
+  std::uint64_t salt = 1;
+  for (const std::size_t group : {std::size_t{1}, std::size_t{7},
+                                  std::size_t{8}, std::size_t{9}}) {
+    for (std::size_t w = 0; w < boundary.size(); ++w) {
+      // Every row at one width: the group prefix is exactly that row's.
+      ExpectBatchNoiseMatchesRng(std::vector<std::size_t>(group, boundary[w]),
+                                 salt++);
+      // Mixed widths: most rows are narrower than the group's widest.
+      std::vector<std::size_t> mixed(group);
+      for (std::size_t r = 0; r < group; ++r) {
+        mixed[r] = boundary[(w + 3 * r) % boundary.size()];
+      }
+      ExpectBatchNoiseMatchesRng(mixed, salt++);
+    }
+  }
+  // One wide lane among dim-1 neighbours: it alone crosses the half-state
+  // and retwist boundaries, while the others draw one word each.
+  for (const std::size_t wide : {std::size_t{157}, std::size_t{313},
+                                 std::size_t{625}}) {
+    ExpectBatchNoiseMatchesRng({1, 1, 1, wide, 1, 1, 1, 1, 1}, salt++);
+  }
+}
+
 }  // namespace
 }  // namespace pf

@@ -3,8 +3,10 @@
 // (one 1-row plan, one future, one executor task per row) and through
 // Session::SubmitColumnar (one compiled batch plan, one composed charge,
 // one vectorized aggregate -> derive -> clip -> noise pass), across batch
-// size x executor thread count on a T = 4096, k = 8 chain model. Two
-// fixed-overhead legs ride along: BM_CompileWarm (a warm Compile, both
+// size x executor thread count on a T = 4096, k = 8 chain model.
+// BM_PrepareBatchPlan{Hit,Miss} time planning alone, with the shape served
+// from the prepared-plan cache and compiled cold. Two fixed-overhead legs
+// ride along: BM_CompileWarm (a warm Compile, both
 // caches hot — the lookup every served query pays) and BM_SessionCharge
 // (a synchronous Release of a trivial query on a sensitivity model, so the
 // ledger charge and plan bookkeeping dominate). BM_BatchLaplaceNoise times
@@ -148,17 +150,44 @@ void BM_ColumnarSubmit(benchmark::State& state) {
   state.counters["threads"] = static_cast<double>(threads);
 }
 
-/// Compile-only leg: what the plan frontend costs when the batch shape is
-/// fresh each call (the worst case for SubmitColumnar; the engine's
-/// compiled-query cache still serves the per-unique lookups).
-void BM_CompileBatchPlan(benchmark::State& state) {
+/// Planning legs, rows {1, 1024} (1 row is what every Release and Submit
+/// plans). Hit: a resubmitted shape served from the engine's prepared-plan
+/// cache, each row's window and compiled shape re-checked against the plan
+/// — what SubmitColumnar pays per batch in steady state. Miss: every call
+/// plans a shape the cache has never seen (data_size walks through fresh
+/// values; all rows are full-record, so only the key changes), paying the
+/// full resolve -> dedupe -> compile-lookup -> lower pipeline; the
+/// compiled-query cache still serves the per-unique lookups.
+void BM_PrepareBatchPlanHit(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   auto engine = ServingEngine(1);
   Warm(engine.get());
   const BatchQuerySpec batch = ColumnarSpecs(rows);
+  // A plan is stored on the second sighting of its shape.
+  for (int i = 0; i < 2; ++i) {
+    benchmark::DoNotOptimize(
+        PrepareBatchPlan(engine.get(), batch, kLength).ValueOrDie());
+  }
   for (auto _ : state) {
-    Result<CompiledBatchPlan> plan =
-        CompileBatchPlan(engine.get(), batch, kLength);
+    Result<std::shared_ptr<const CompiledBatchPlan>> plan =
+        PrepareBatchPlan(engine.get(), batch, kLength);
+    if (!plan.ok()) state.SkipWithError(plan.status().ToString().c_str());
+    bench::DoNotOptimize(plan);
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(rows));
+}
+
+void BM_PrepareBatchPlanMiss(benchmark::State& state) {
+  const std::size_t rows = static_cast<std::size_t>(state.range(0));
+  auto engine = ServingEngine(1);
+  Warm(engine.get());
+  const BatchQuerySpec batch = ColumnarSpecs(rows);
+  std::size_t data_size = kLength;
+  for (auto _ : state) {
+    data_size = data_size % (std::size_t{1} << 24) + 1;
+    Result<std::shared_ptr<const CompiledBatchPlan>> plan =
+        PrepareBatchPlan(engine.get(), batch, data_size);
     if (!plan.ok()) state.SkipWithError(plan.status().ToString().c_str());
     bench::DoNotOptimize(plan);
   }
@@ -176,7 +205,14 @@ BENCHMARK(BM_ColumnarSubmit)
     ->ArgsProduct({{64, 256, 1024, 4096}, {1, 4}})
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_CompileBatchPlan)->Arg(1024)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PrepareBatchPlanHit)
+    ->Arg(1)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PrepareBatchPlanMiss)
+    ->Arg(1)
+    ->Arg(1024)
+    ->Unit(benchmark::kMicrosecond);
 
 /// The noise kernel alone: `rows` rows of `width` draws each, one fresh
 /// per-ticket generator per row (the cost SubmitColumnar's noise stage and

@@ -67,51 +67,120 @@ std::uint64_t ShapeHash(std::size_t window_index, const QuerySpec& spec) {
   return h;
 }
 
+/// One multiply-xorshift round: cheap and pipelinable, since each row is
+/// mixed independently of the others.
+inline std::uint64_t MulXorShift(std::uint64_t x) {
+  x *= 0xBF58476D1CE4E5B9u;
+  return x ^ (x >> 31);
+}
+
+/// The slice [*offset, *offset + *length) that `window` selects in a record
+/// of `size` observations; false when the window is empty or does not fit.
+bool WindowSlice(const DataWindow& window, std::size_t size,
+                 std::size_t* offset, std::size_t* length) {
+  if (window.from_end) {
+    if (window.length == 0 || window.length > size) return false;
+    *offset = size - window.length;
+    *length = window.length;
+    return true;
+  }
+  if (window.offset >= size) return false;
+  *offset = window.offset;
+  *length = window.length == 0 ? size - window.offset : window.length;
+  // Overflow-safe form of offset + length <= size (offset < size here).
+  return *length <= size - window.offset;
+}
+
 }  // namespace
+
+// Each row's fields are mixed with its row index, independently of the
+// other rows (two short multiply chains), and the results summed, so the
+// loop pipelines; the sum is then mixed with `data_size`.
+std::uint64_t BatchShapeFingerprint(const BatchQuerySpec& batch,
+                                    std::size_t data_size) {
+  std::uint64_t sum = 0;
+  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+    const QuerySpec& spec = batch.items[i].spec;
+    const DataWindow& window = batch.items[i].window;
+    const std::uint64_t tags =
+        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(spec.state))
+         << 32) |
+        (static_cast<std::uint64_t>(spec.kind) << 1) |
+        static_cast<std::uint64_t>(window.from_end);
+    std::uint64_t h =
+        MulXorShift(DoubleBits(spec.epsilon) + i * 0x9E3779B97F4A7C15u) +
+        MulXorShift(tags ^ (window.offset * 0x94D049BB133111EBu) ^
+                    (static_cast<std::uint64_t>(window.length) << 20));
+    if (spec.kind == QueryKind::kCustomScalar ||
+        spec.kind == QueryKind::kCustomVector) {
+      h = MulXorShift(h ^ DoubleBits(spec.lipschitz));
+      h = MulXorShift(h ^ static_cast<std::uint64_t>(spec.dim));
+      h ^= std::hash<std::string>{}(spec.name);
+    }
+    sum += MulXorShift(h);
+  }
+  return EnsureNonZeroFingerprint(
+      SplitMix64(sum ^ SplitMix64(static_cast<std::uint64_t>(data_size))));
+}
+
 
 Result<std::pair<std::size_t, std::size_t>> ResolveDataWindow(
     const DataWindow& window, std::size_t size) {
-  std::size_t offset = window.offset;
-  std::size_t length = window.length;
-  if (window.from_end) {
-    if (length == 0 || length > size) {
-      return Status::InvalidArgument(
-          "suffix window of " + std::to_string(length) +
-          " observations does not fit a record of " + std::to_string(size));
-    }
-    offset = size - length;
-  } else {
-    if (offset >= size) {
-      return Status::InvalidArgument(
-          "window offset " + std::to_string(offset) +
-          " is outside the record of " + std::to_string(size));
-    }
-    if (length == 0) length = size - offset;
-    // Overflow-safe form of offset + length > size (offset < size here).
-    if (length > size - offset) {
-      return Status::InvalidArgument(
-          "window [" + std::to_string(offset) + ", " +
-          std::to_string(offset + length) + ") exceeds the record of " +
-          std::to_string(size));
-    }
+  std::size_t offset = 0;
+  std::size_t length = 0;
+  if (WindowSlice(window, size, &offset, &length)) {
+    return std::make_pair(offset, length);
   }
-  return std::make_pair(offset, length);
+  if (window.from_end) {
+    return Status::InvalidArgument(
+        "suffix window of " + std::to_string(window.length) +
+        " observations does not fit a record of " + std::to_string(size));
+  }
+  if (window.offset >= size) {
+    return Status::InvalidArgument(
+        "window offset " + std::to_string(window.offset) +
+        " is outside the record of " + std::to_string(size));
+  }
+  return Status::InvalidArgument(
+      "window [" + std::to_string(offset) + ", " +
+      std::to_string(offset + length) + ") exceeds the record of " +
+      std::to_string(size));
 }
 
-Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
-                                           const BatchQuerySpec& batch,
-                                           std::size_t data_size,
-                                           const RequestOptions& request) {
-  if (batch.empty()) {
-    return Status::InvalidArgument("empty batch; nothing to compile");
+// Row by row the same resolved window and compiled shape as the unique
+// query the plan maps the row to; row order then fixes the dedupe, the
+// window order and the lowering.
+bool MatchesPreparedPlan(const CompiledBatchPlan& plan,
+                         const BatchQuerySpec& batch, std::size_t data_size) {
+  const LogicalBatchPlan& lg = plan.logical;
+  if (lg.data_size != data_size || lg.row_to_unique.size() != batch.size()) {
+    return false;
   }
-  // Compile() re-checks per unique query, but refusing here keeps the
-  // answer independent of the rows: an expired request never reaches the
-  // charge, whatever its windows.
-  if (request.deadline.expired()) {
-    return Status::DeadlineExceeded(
-        "request deadline already expired; nothing was charged");
+  for (std::size_t i = 0; i < batch.items.size(); ++i) {
+    const BatchQueryItem& item = batch.items[i];
+    const LogicalBatchPlan::UniqueQuery& uq = lg.unique[lg.row_to_unique[i]];
+    const LogicalBatchPlan::Window& win = lg.windows[uq.window_index];
+    const bool full = item.window.full_record();
+    if (win.full_record != full) return false;
+    std::size_t offset = 0;
+    std::size_t length = 0;
+    if (!full && (!WindowSlice(item.window, data_size, &offset, &length) ||
+                  offset != win.offset || length != win.length)) {
+      return false;
+    }
+    if (!SameCompiledShape(uq.spec, item.spec)) return false;
   }
+  return true;
+}
+
+namespace {
+
+/// The miss path of PrepareBatchPlan: parse, resolve, dedupe, compile and
+/// lower `batch` (non-empty, deadline not yet expired).
+Result<CompiledBatchPlan> CompileColdBatchPlan(PrivacyEngine* engine,
+                                               const BatchQuerySpec& batch,
+                                               std::size_t data_size,
+                                               const RequestOptions& request) {
   CompiledBatchPlan plan;
   LogicalBatchPlan& lg = plan.logical;
   lg.data_size = data_size;
@@ -261,6 +330,47 @@ Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
   return plan;
 }
 
+}  // namespace
+
+Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
+    PrivacyEngine* engine, const BatchQuerySpec& batch, std::size_t data_size,
+    const RequestOptions& request) {
+  if (batch.empty()) {
+    return Status::InvalidArgument("empty batch; nothing to compile");
+  }
+  // Compile() re-checks per unique query, but refusing here keeps the
+  // answer independent of the rows and of the cache: an expired request
+  // never reaches the charge, whatever its windows.
+  if (request.deadline.expired()) {
+    return Status::DeadlineExceeded(
+        "request deadline already expired; nothing was charged");
+  }
+  const std::uint64_t shape = BatchShapeFingerprint(batch, data_size);
+  std::uint64_t generation = 0;
+  bool store = false;
+  std::shared_ptr<const CompiledBatchPlan> prepared =
+      engine->FindPreparedPlan(shape, &generation, &store);
+  // Never trusted on the fingerprint alone: a false hit would release
+  // under another query's sigma or Lipschitz constant.
+  if (prepared != nullptr && MatchesPreparedPlan(*prepared, batch, data_size)) {
+    return prepared;
+  }
+  PF_ASSIGN_OR_RETURN(CompiledBatchPlan compiled,
+                      CompileColdBatchPlan(engine, batch, data_size, request));
+  prepared = std::make_shared<const CompiledBatchPlan>(std::move(compiled));
+  if (store) engine->StorePreparedPlan(shape, generation, prepared);
+  return prepared;
+}
+
+Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
+                                           const BatchQuerySpec& batch,
+                                           std::size_t data_size,
+                                           const RequestOptions& request) {
+  PF_ASSIGN_OR_RETURN(std::shared_ptr<const CompiledBatchPlan> plan,
+                      PrepareBatchPlan(engine, batch, data_size, request));
+  return *plan;
+}
+
 std::string CompiledBatchPlan::Explain() const {
   const LogicalBatchPlan& lg = logical;
   std::string out = "BatchPlan: " + std::to_string(num_rows()) + " rows -> " +
@@ -318,7 +428,8 @@ std::string CompiledBatchPlan::Explain() const {
   }
   out += "  clip: scales[r] = L[r] * sigma[r] (simd=" +
          std::string(SimdLevelName(ActiveSimdLevel())) + ")\n";
-  out += "  noise: Laplace per coordinate from per-ticket SplitMix streams\n";
+  out += "  noise: Laplace per coordinate from a per-ticket mt19937_64 seeded "
+         "by TicketNoiseSeed(seed, ticket)\n";
   return out;
 }
 

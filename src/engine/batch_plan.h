@@ -8,8 +8,9 @@
 // dumps both levels.
 //
 //     BatchQuerySpec
-//        |  CompileBatchPlan     engine compile cache, one compile per
-//        |                       unique (window, spec); all-or-nothing
+//        |  PrepareBatchPlan     prepared-plan cache hit, or: engine
+//        |                       compile cache, one compile per unique
+//        |                       (window, spec); all-or-nothing
 //        v
 //     CompiledBatchPlan          logical + physical + compiled plans
 //        |  ExecuteBatchPlan     aggregate -> derive -> clip -> noise,
@@ -226,13 +227,52 @@ struct BatchReleaseResult {
   MechanismKind mechanism = MechanismKind::kLaplaceDp;
 };
 
-/// \brief Parses, resolves, dedupes, compiles, and lowers `batch` against
-/// `engine`'s model for a database of `data_size` observations.
-/// All-or-nothing: any row that fails to resolve or compile refuses the
-/// whole batch (with the row index chained into the error). Uses the
-/// engine's compiled-query cache — one Compile per unique (window, spec),
-/// not per row. Honors `request` exactly like PrivacyEngine::Compile; an
-/// already-expired deadline is refused before any window is resolved.
+/// \brief Plans `batch` for a database of `data_size` observations: the one
+/// planning entry point of the serving path (Session::Release, both Submit
+/// overloads and SubmitColumnar call it). Returns the plan shared with the
+/// engine's prepared-plan cache, immutable and safe to execute from any
+/// thread.
+///
+/// A miss parses, resolves, dedupes, compiles, and lowers the batch against
+/// the engine's model. All-or-nothing: any row that fails to resolve or
+/// compile refuses the whole batch (with the row index chained into the
+/// error). The compile goes through the engine's compiled-query cache —
+/// one Compile per unique (window, spec), not per row — and honors
+/// `request` exactly like PrivacyEngine::Compile.
+///
+/// A hit skips all of that. The cache is keyed by a fingerprint of every
+/// row's (spec, window) plus `data_size`; a candidate is served only after
+/// each row's window, resolved against `data_size`, equals its planned
+/// window and its spec has the planned unique query's compiled shape (the
+/// fields QuerySpec::CacheKey() encodes — custom queries are identified by
+/// their name, as in the compiled-query cache). A plan is stored on the
+/// second sighting of its shape within one model generation, invalidated
+/// by AppendObservations / SetRecordLength, never stored when its compile
+/// overlapped one, and FIFO-bounded by EngineOptions::cache_capacity.
+///
+/// An empty batch and an already-expired deadline are refused before the
+/// lookup.
+Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
+    PrivacyEngine* engine, const BatchQuerySpec& batch, std::size_t data_size,
+    const RequestOptions& request = {});
+
+/// \brief The prepared-plan cache key of `batch` over a database of
+/// `data_size` observations: a fingerprint of every row's compiled-shape
+/// fields (QuerySpec::CacheKey()'s) and raw window. Like any hash it only
+/// finds candidates; MatchesPreparedPlan decides every hit.
+std::uint64_t BatchShapeFingerprint(const BatchQuerySpec& batch,
+                                    std::size_t data_size);
+
+/// \brief True iff compiling `batch` for a database of `data_size`
+/// observations would produce `plan`: the check that decides every
+/// prepared-plan hit (same row count and database size; each row's
+/// resolved window and compiled shape equal to those of the unique query
+/// the plan maps the row to).
+bool MatchesPreparedPlan(const CompiledBatchPlan& plan,
+                         const BatchQuerySpec& batch, std::size_t data_size);
+
+/// \brief PrepareBatchPlan, returning a copy of the plan by value (for
+/// callers that inspect or keep their own plan).
 Result<CompiledBatchPlan> CompileBatchPlan(PrivacyEngine* engine,
                                            const BatchQuerySpec& batch,
                                            std::size_t data_size,

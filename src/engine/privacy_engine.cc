@@ -383,8 +383,54 @@ Status PrivacyEngine::SetRecordLengthLocked(std::size_t new_length) {
     MutexLock compiled_lock(compiled_mutex_);
     compiled_.clear();
     compiled_order_.clear();
+    prepared_.clear();
+    prepared_order_.clear();
+    prepared_sighted_size_ = 0;
+    prepared_sighted_next_ = 0;
   }
   return Status::OK();
+}
+
+std::shared_ptr<const CompiledBatchPlan> PrivacyEngine::FindPreparedPlan(
+    std::uint64_t shape, std::uint64_t* generation, bool* store) {
+  MutexLock lock(compiled_mutex_);
+  // Read under the lock the swap path clears under: a generation read here
+  // is never older than the cache contents, so a plan compiled after this
+  // lookup and stored under it cannot outlive the next hot-swap.
+  *generation = model_generation_.load(std::memory_order_acquire);
+  *store = false;
+  auto it = prepared_.find(shape);
+  if (it != prepared_.end()) return it->second;
+  for (std::size_t i = 0; i < prepared_sighted_size_; ++i) {
+    if (prepared_sighted_[i] == shape) {
+      prepared_sighted_[i] = 0;
+      *store = true;
+      return nullptr;
+    }
+  }
+  prepared_sighted_[prepared_sighted_next_] = shape;
+  prepared_sighted_next_ = (prepared_sighted_next_ + 1) % kSightedShapes;
+  if (prepared_sighted_size_ < kSightedShapes) ++prepared_sighted_size_;
+  return nullptr;
+}
+
+void PrivacyEngine::StorePreparedPlan(
+    std::uint64_t shape, std::uint64_t generation,
+    std::shared_ptr<const CompiledBatchPlan> plan) {
+  MutexLock lock(compiled_mutex_);
+  // Compile's rule: a plan whose compile overlapped a hot-swap is served
+  // but never cached.
+  if (model_generation_.load(std::memory_order_acquire) != generation) return;
+  // A racing thread may have stored the same shape first; keep its plan.
+  if (!prepared_.try_emplace(shape, std::move(plan)).second) return;
+  prepared_order_.push_back(shape);
+  if (options_.cache_capacity > 0) {
+    while (prepared_.size() > options_.cache_capacity &&
+           !prepared_order_.empty()) {
+      prepared_.erase(prepared_order_.front());
+      prepared_order_.pop_front();
+    }
+  }
 }
 
 Result<PrivacyEngine::AnalysisStats> PrivacyEngine::AnalyzeStats(

@@ -19,6 +19,7 @@
 #ifndef PUFFERFISH_ENGINE_PRIVACY_ENGINE_H_
 #define PUFFERFISH_ENGINE_PRIVACY_ENGINE_H_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +46,8 @@ namespace pf {
 
 class Session;
 struct SessionOptions;
+struct BatchQuerySpec;
+struct CompiledBatchPlan;
 
 /// \brief The distribution class Theta, declaratively: what the engine
 /// builds its mechanism from. Construct via the factories.
@@ -301,8 +304,31 @@ class PrivacyEngine {
   Executor& executor() { return executor_; }
 
  private:
+  // The one user of the prepared-plan cache (declared with its defaults
+  // and documented in engine/batch_plan.h).
+  friend Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
+      PrivacyEngine* engine, const BatchQuerySpec& batch,
+      std::size_t data_size, const RequestOptions& request);
+
   PrivacyEngine(ModelSpec model, EngineOptions options,
                 std::unique_ptr<Mechanism> mechanism, std::size_t num_threads);
+
+  /// \brief The prepared plan stored under `shape`, or null. The caller
+  /// validates a hit against its batch: the fingerprint only finds
+  /// candidates. `generation` receives the model generation to hand to
+  /// StorePreparedPlan. On a miss, `store` says whether the plan the caller
+  /// is about to compile should be stored: true on the second sighting of
+  /// `shape` this generation; a first sighting is only remembered.
+  std::shared_ptr<const CompiledBatchPlan> FindPreparedPlan(
+      std::uint64_t shape, std::uint64_t* generation, bool* store)
+      PF_EXCLUDES(compiled_mutex_);
+
+  /// \brief Stores a freshly compiled plan under `shape`, FIFO-bounded by
+  /// cache_capacity — unless the model was hot-swapped since `generation`
+  /// (the compile may straddle two record lengths), which drops it.
+  void StorePreparedPlan(std::uint64_t shape, std::uint64_t generation,
+                         std::shared_ptr<const CompiledBatchPlan> plan)
+      PF_EXCLUDES(compiled_mutex_);
 
   /// Body of SetRecordLength.
   Status SetRecordLengthLocked(std::size_t new_length)
@@ -339,6 +365,25 @@ class PrivacyEngine {
   /// like the plan cache: compiled entries pin their plans, so an
   /// unbounded map would defeat the plan cache's memory bound).
   std::deque<std::string> compiled_order_ PF_GUARDED_BY(compiled_mutex_);
+  /// Prepared batch plans by batch-shape fingerprint (see PrepareBatchPlan
+  /// in engine/batch_plan.h): the whole compiled plan, so a resubmitted
+  /// shape binds only tickets, seed and data. Invalidated with compiled_
+  /// and bounded like it, FIFO by prepared_order_.
+  std::unordered_map<std::uint64_t, std::shared_ptr<const CompiledBatchPlan>>
+      prepared_ PF_GUARDED_BY(compiled_mutex_);
+  std::deque<std::uint64_t> prepared_order_ PF_GUARDED_BY(compiled_mutex_);
+  /// The last kSightedShapes shapes sighted once this generation: slots
+  /// [0, prepared_sighted_size_) are live, overwritten round-robin once
+  /// full, and a hot-swap empties them by resetting the size. A plan is
+  /// stored only on its shape's second sighting, so traffic whose every
+  /// shape is new (each append tick's releases) never pays to store plans
+  /// the next append drops. A consumed sighting is zeroed (fingerprints
+  /// are never 0).
+  static constexpr std::size_t kSightedShapes = 256;
+  std::array<std::uint64_t, kSightedShapes> prepared_sighted_
+      PF_GUARDED_BY(compiled_mutex_) = {};
+  std::size_t prepared_sighted_size_ PF_GUARDED_BY(compiled_mutex_) = 0;
+  std::size_t prepared_sighted_next_ PF_GUARDED_BY(compiled_mutex_) = 0;
   std::atomic<std::uint64_t> session_seed_state_;
 };
 

@@ -21,7 +21,7 @@
 namespace pf {
 
 /// \brief Per-request serving constraints, carried through Compile,
-/// CompileBatchPlan and every Session release. Default-constructed options
+/// PrepareBatchPlan and every Session release. Default-constructed options
 /// impose nothing.
 struct RequestOptions {
   /// Give up past this point: refused up front (before any budget charge)

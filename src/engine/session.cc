@@ -179,20 +179,20 @@ Result<ReleaseResult> Session::Release(const QuerySpec& spec,
                                        const DataWindow& window,
                                        const RequestOptions& request) {
   PF_ASSIGN_OR_RETURN(
-      const CompiledBatchPlan plan,
-      CompileBatchPlan(engine_, BatchQuerySpec().Add(spec, window),
+      const std::shared_ptr<const CompiledBatchPlan> plan,
+      PrepareBatchPlan(engine_, BatchQuerySpec().Add(spec, window),
                        data.size(), request));
-  PF_ASSIGN_OR_RETURN(const std::uint64_t ticket, Charge(plan));
-  return FirstRow(ExecuteBatchPlan(plan, data, seed_, ticket));
+  PF_ASSIGN_OR_RETURN(const std::uint64_t ticket, Charge(*plan));
+  return FirstRow(ExecuteBatchPlan(*plan, data, seed_, ticket));
 }
 
 template <typename T>
 std::future<Result<T>> Session::Enqueue(
-    Result<CompiledBatchPlan> compiled,
+    Result<std::shared_ptr<const CompiledBatchPlan>> prepared,
     std::shared_ptr<const StateSequence> data) {
-  // Compile before claiming any serving resources: a request that cannot
+  // Plan before claiming any serving resources: a request that cannot
   // compile should not occupy an executor slot.
-  if (!compiled.ok()) return ReadyError<T>(compiled.status());
+  if (!prepared.ok()) return ReadyError<T>(prepared.status());
   // Admission strictly precedes accounting. The executor slot and the
   // in-flight slot are both claimed before the charge, so a request shed
   // here resolves to Unavailable with the ledger untouched; once the
@@ -203,13 +203,12 @@ std::future<Result<T>> Session::Enqueue(
   if (!permit.ok()) return ReadyError<T>(permit.status());
   Status admitted = AdmitInFlight();
   if (!admitted.ok()) return ReadyError<T>(std::move(admitted));
-  Result<std::uint64_t> charged = Charge(compiled.value());
+  Result<std::uint64_t> charged = Charge(*prepared.value());
   if (!charged.ok()) {
     in_flight_->fetch_sub(1, std::memory_order_relaxed);
     return ReadyError<T>(charged.status());  // Permit released by ~Permit.
   }
-  auto plan = std::make_shared<const CompiledBatchPlan>(
-      std::move(compiled).value());
+  std::shared_ptr<const CompiledBatchPlan> plan = std::move(prepared).value();
   return engine_->executor().Submit(
       std::move(permit).value(),
       [plan = std::move(plan), data = std::move(data), seed = seed_,
@@ -230,7 +229,7 @@ std::future<Result<ReleaseResult>> Session::Submit(
     const DataWindow& window, const RequestOptions& request) {
   const std::size_t size = data->size();
   return Enqueue<ReleaseResult>(
-      CompileBatchPlan(engine_, BatchQuerySpec().Add(spec, window), size,
+      PrepareBatchPlan(engine_, BatchQuerySpec().Add(spec, window), size,
                        request),
       std::move(data));
 }
@@ -277,7 +276,7 @@ std::future<Result<BatchReleaseResult>> Session::SubmitColumnar(
     const BatchQuerySpec& batch, const StateSequence& data,
     const RequestOptions& request) {
   return Enqueue<BatchReleaseResult>(
-      CompileBatchPlan(engine_, batch, data.size(), request),
+      PrepareBatchPlan(engine_, batch, data.size(), request),
       std::make_shared<const StateSequence>(data));
 }
 

@@ -14,10 +14,10 @@
 //     SubmitBatch(specs, data) / (spec, databases)    one Submit per row
 //     SubmitColumnar(batch, data[, request])          N-row plan, executor
 //
-// Each compiles (CompileBatchPlan), charges once (Charge: rows = 1 is the
-// scalar case), then runs ExecuteBatchPlan. The async entry points
-// claim an executor permit and an in-flight slot BEFORE the charge, so a
-// shed request never debits epsilon.
+// Each plans (PrepareBatchPlan: a resubmitted shape is a prepared-plan
+// cache hit), charges once (Charge: rows = 1 is the scalar case), then runs
+// ExecuteBatchPlan. The async entry points claim an executor permit and an
+// in-flight slot BEFORE the charge, so a shed request never debits epsilon.
 //
 // Determinism: each accepted release draws its noise from an RNG seeded by
 // (session seed, ticket), where tickets are assigned in call order. Results
@@ -88,14 +88,14 @@ class Session {
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
 
-  /// \brief Synchronous release: compiles `spec` over `window` as a 1-row
-  /// batch plan (compile cache), charges the budget, then evaluates and
-  /// noises it on the calling thread — no executor permit, no in-flight
-  /// slot. The window is resolved against `data` now; All() (the default)
-  /// compiles against the engine's full record length. Refusals (bad
-  /// window, expired deadline, cold-shed, budget, quilt mismatch) charge
-  /// nothing; a deadline expiring mid-analysis cancels it at the next
-  /// checkpoint.
+  /// \brief Synchronous release: plans `spec` over `window` as a 1-row
+  /// batch plan (prepared-plan cache), charges the budget, then evaluates
+  /// and noises it on the calling thread — no executor permit, no
+  /// in-flight slot. The window is resolved against `data` now; All() (the
+  /// default) compiles against the engine's full record length. Refusals
+  /// (bad window, expired deadline, cold-shed, budget, quilt mismatch)
+  /// charge nothing; a deadline expiring mid-analysis cancels it at the
+  /// next checkpoint.
   Result<ReleaseResult> Release(const QuerySpec& spec,
                                 const StateSequence& data,
                                 const DataWindow& window = DataWindow::All(),
@@ -178,8 +178,9 @@ class Session {
   /// then the executor task (which keeps the permit) runs ExecuteBatchPlan.
   /// T is ReleaseResult (row 0 of a 1-row plan) or BatchReleaseResult.
   template <typename T>
-  std::future<Result<T>> Enqueue(Result<CompiledBatchPlan> compiled,
-                                 std::shared_ptr<const StateSequence> data);
+  std::future<Result<T>> Enqueue(
+      Result<std::shared_ptr<const CompiledBatchPlan>> prepared,
+      std::shared_ptr<const StateSequence> data);
 
   PrivacyEngine* const engine_;
   const SessionOptions options_;

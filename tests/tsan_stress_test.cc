@@ -201,6 +201,166 @@ TEST(TsanStressTest, ColumnarSubmitVsAppendVsScalar) {
   EXPECT_EQ(engine->record_length(), 48u + 2u * kAppends);
 }
 
+// Prepared plans shared across threads while the record grows: columnar
+// and sync-release tenants resubmit the same shapes (so most plans come
+// from the engine's prepared-plan cache) while AppendObservations
+// invalidates it, all under cache_capacity = 2 so plans are also evicted
+// under the readers' feet. Every release must carry one generation's
+// constants — its sigma and noise scale those of a fresh engine at some
+// record length the model passed through, never a mix — and every
+// session that runs to its budget must admit exactly floor(B / eps) rows.
+TEST(TsanStressTest, PreparedPlansVsAppendWithSmallCache) {
+  constexpr std::size_t kStart = 48;
+  constexpr int kAppends = 6;
+  constexpr std::size_t kStep = 2;
+  constexpr double kEps = 0.5;
+  constexpr double kBudget = 6.0;  // floor(6.0 / 0.5) = 12 rows.
+  BatchQuerySpec batch;
+  batch.Add(QuerySpec::Mean(kEps))
+      .Add(QuerySpec::Sum(kEps), DataWindow::Last(8))
+      .Add(QuerySpec::Mean(kEps));
+
+  // Reference constants per record length, from fresh engines.
+  struct Reference {
+    std::vector<double> sigmas;
+    std::vector<double> scales;
+  };
+  std::vector<Reference> references;
+  for (int a = 0; a <= kAppends; ++a) {
+    const std::size_t length = kStart + kStep * static_cast<std::size_t>(a);
+    auto fresh = StressEngine(length);
+    const CompiledBatchPlan plan =
+        CompileBatchPlan(fresh.get(), batch, length).ValueOrDie();
+    Reference ref;
+    for (std::size_t r = 0; r < plan.num_rows(); ++r) {
+      const std::size_t u = plan.logical.row_to_unique[r];
+      ref.sigmas.push_back(plan.compiled[u].plan->sigma);
+      ref.scales.push_back(plan.logical.unique[u].lipschitz *
+                           plan.compiled[u].plan->sigma);
+    }
+    references.push_back(std::move(ref));
+  }
+  const auto one_generation = [&](const RecordBatch& rb) {
+    for (const Reference& ref : references) {
+      bool all = rb.num_rows() == ref.sigmas.size();
+      for (std::size_t r = 0; all && r < rb.num_rows(); ++r) {
+        all = rb.sigmas()[r] == ref.sigmas[r] &&
+              rb.noise_scales()[r] == ref.scales[r];
+      }
+      if (all) return true;
+    }
+    return false;
+  };
+  const auto known_sigma = [&](double sigma) {
+    for (const Reference& ref : references) {
+      if (sigma == ref.sigmas[0]) return true;
+    }
+    return false;
+  };
+
+  EngineOptions options;
+  options.num_threads = 2;
+  options.exact_max_nearby = 8;
+  options.cache_capacity = 2;
+  auto engine =
+      PrivacyEngine::Create(ModelSpec::ChainClass({StressChain(0.8, 0.7),
+                                                   StressChain(0.6, 0.9)},
+                                                  kStart),
+                            options)
+          .ValueOrDie();
+  // A tenant fills a session's budget: columnar batches while they fit,
+  // then single releases for the remainder. A torn batch (Unavailable) is
+  // retried. An append between two of a session's releases moves the
+  // active quilt (these chains' quilts sit mid-record), which the ledger
+  // refuses with FailedPrecondition; the tenant then abandons the session.
+  // Any other refusal must be the budget, and a session refused for its
+  // budget must hold exactly floor(B / eps) rows.
+  std::atomic<int> served{0};
+  const auto fill_budget = [&](std::uint64_t seed, bool columnar,
+                               bool* exhausted) {
+    SessionOptions session_options;
+    session_options.epsilon_budget = kBudget;
+    session_options.seed = seed;
+    auto session = engine->CreateSession(session_options);
+    std::size_t admitted = 0;
+    bool batches_fit = columnar;
+    Status refused;
+    while (refused.ok()) {
+      StateSequence data = StressData(engine->record_length());
+      if (batches_fit) {
+        Result<BatchReleaseResult> r =
+            session->SubmitColumnar(batch, data).get();
+        if (r.ok()) {
+          ASSERT_TRUE(one_generation(r.value().batch));
+          admitted += r.value().batch.num_rows();
+          served.fetch_add(1, std::memory_order_relaxed);
+        } else if (r.status().code() == StatusCode::kResourceExhausted) {
+          batches_fit = false;
+        } else if (r.status().code() != StatusCode::kUnavailable) {
+          refused = r.status();
+        }
+        continue;
+      }
+      Result<ReleaseResult> r =
+          session->Release(QuerySpec::Sum(kEps), data, DataWindow::Last(8));
+      if (r.ok()) {
+        ASSERT_TRUE(known_sigma(r.value().sigma));
+        ++admitted;
+        served.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        refused = r.status();
+      }
+    }
+    ASSERT_EQ(session->num_releases(), admitted);
+    *exhausted = refused.code() == StatusCode::kResourceExhausted;
+    if (*exhausted) {
+      ASSERT_EQ(admitted,
+                static_cast<std::size_t>(std::floor(kBudget / kEps)));
+    } else {
+      ASSERT_EQ(refused.code(), StatusCode::kFailedPrecondition)
+          << refused.ToString();
+    }
+  };
+
+  std::vector<std::thread> threads;
+  // Appends are paced by served releases (8 between appends), so they land
+  // mid-traffic rather than before it; if the tenants stop early (a failed
+  // assertion), the remaining appends go ahead rather than hang.
+  std::atomic<int> tenants_done{0};
+  threads.emplace_back([&] {
+    for (int i = 0; i < kAppends; ++i) {
+      while (served.load(std::memory_order_relaxed) < 8 * (i + 1) &&
+             tenants_done.load(std::memory_order_relaxed) < 4) {
+        std::this_thread::yield();
+      }
+      ASSERT_TRUE(engine->AppendObservations(kStep).ok());
+    }
+  });
+  // Each tenant keeps opening sessions until three ran to their budget;
+  // only sessions straddling one of the six appends can be abandoned.
+  std::atomic<int> abandoned{0};
+  for (int tenant = 0; tenant < 4; ++tenant) {
+    threads.emplace_back([&, tenant] {
+      int exhausted_sessions = 0;
+      for (int round = 0; exhausted_sessions < 3 && round < 64; ++round) {
+        bool exhausted = false;
+        fill_budget(100 + static_cast<std::uint64_t>(tenant * 64 + round),
+                    /*columnar=*/tenant % 2 == 0, &exhausted);
+        if (exhausted) {
+          ++exhausted_sessions;
+        } else {
+          abandoned.fetch_add(1, std::memory_order_relaxed);
+        }
+      }
+      tenants_done.fetch_add(1, std::memory_order_relaxed);
+      EXPECT_EQ(exhausted_sessions, 3);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(engine->record_length(), kStart + kStep * kAppends);
+  EXPECT_LE(abandoned.load(), 4 * kAppends);
+}
+
 // One session hammered from many threads: the budget ledger must admit
 // exactly floor(B / eps) releases in total, no matter how the threads
 // interleave (the Theorem 4.4 admission check and the ticket counter share

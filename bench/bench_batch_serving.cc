@@ -5,7 +5,8 @@
 // one vectorized aggregate -> derive -> clip -> noise pass), across batch
 // size x executor thread count on a T = 4096, k = 8 chain model.
 // BM_PrepareBatchPlan{Hit,Miss} time planning alone, with the shape served
-// from the prepared-plan cache and compiled cold. Two fixed-overhead legs
+// from the prepared-plan cache and compiled cold; BM_PreparedCacheFill
+// reports the RSS the cache holds when filled past its row budget. Two fixed-overhead legs
 // ride along: BM_CompileWarm (a warm Compile, both
 // caches hot — the lookup every served query pays) and BM_SessionCharge
 // (a synchronous Release of a trivial query on a sensitivity model, so the
@@ -21,14 +22,19 @@
 // BENCH_batch_serving.json and archives the file.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/random.h"
 #include "engine/batch_kernels.h"
+#include "engine/batch_plan_internal.h"
 #include "engine/engine.h"
 #include "graphical/markov_chain.h"
 
@@ -195,6 +201,61 @@ void BM_PrepareBatchPlanMiss(benchmark::State& state) {
                           static_cast<std::int64_t>(rows));
 }
 
+/// Resident set size of this process in bytes (VmRSS; 0 where
+/// /proc/self/status is unavailable).
+double ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) * 1024.0;
+    }
+  }
+  return 0.0;
+}
+
+/// The prepared-plan cache's memory bound. Fills a fresh engine (default
+/// cache_capacity) with kPlans distinct 1024-row shapes, each submitted
+/// twice so that it is stored, and reports the process's RSS growth and
+/// its share per resident row. Arg 0: the serving mix (11 unique queries
+/// per plan); arg 1: every row a distinct custom query, the largest plan
+/// per row. The row budget keeps PreparedPlanAccess::kRowBudget rows
+/// resident of the kPlans * 1024 offered.
+void BM_PreparedCacheFill(benchmark::State& state) {
+  constexpr std::size_t kRows = 1024;
+  constexpr std::size_t kPlans = 64;
+  BatchQuerySpec batch = ColumnarSpecs(kRows);
+  if (state.range(0) == 1) {
+    batch.items.clear();
+    for (std::size_t r = 0; r < kRows; ++r) {
+      batch.Add(QuerySpec::CustomScalar(
+          "prepared_fill_custom_" + std::to_string(r),
+          [](const StateSequence& d) { return static_cast<double>(d[0]); },
+          1.0, kEpsilon));
+    }
+  }
+  double growth = 0.0;
+  for (auto _ : state) {
+    auto engine = ServingEngine(1);
+    Warm(engine.get());
+    const double before = ResidentBytes();
+    for (std::size_t p = 0; p < kPlans; ++p) {
+      for (int sighting = 0; sighting < 2; ++sighting) {
+        Result<std::shared_ptr<const CompiledBatchPlan>> plan =
+            PrepareBatchPlan(engine.get(), batch, kLength + p);
+        if (!plan.ok()) state.SkipWithError(plan.status().ToString().c_str());
+        bench::DoNotOptimize(plan);
+      }
+    }
+    growth = ResidentBytes() - before;
+  }
+  const double resident_rows = static_cast<double>(
+      std::min(kPlans * kRows, PreparedPlanAccess::kRowBudget));
+  state.counters["rss_growth_mib"] = growth / (1024.0 * 1024.0);
+  state.counters["bytes_per_resident_row"] = growth / resident_rows;
+  state.counters["resident_rows"] = resident_rows;
+}
+
 // Wall-clock throughput: both paths hand work to executor threads, so
 // main-thread CPU time under-counts the scalar path's per-row dispatch.
 BENCHMARK(BM_ScalarSubmitBatch)
@@ -213,6 +274,11 @@ BENCHMARK(BM_PrepareBatchPlanMiss)
     ->Arg(1)
     ->Arg(1024)
     ->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_PreparedCacheFill)
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(1)
+    ->Unit(benchmark::kMillisecond);
 
 /// The noise kernel alone: `rows` rows of `width` draws each, one fresh
 /// per-ticket generator per row (the cost SubmitColumnar's noise stage and

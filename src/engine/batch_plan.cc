@@ -10,6 +10,7 @@
 
 #include "common/failpoint.h"
 #include "common/fingerprint.h"
+#include "engine/batch_plan_internal.h"
 #include "engine/privacy_engine.h"
 
 namespace pf {
@@ -37,7 +38,8 @@ std::string FormatDouble(double v) {
 
 /// CacheKey() equality without the string: the same fields CacheKey()
 /// encodes — kind, state, epsilon bit pattern, plus lipschitz/dim/name for
-/// custom kinds — compared directly.
+/// custom kinds — compared directly. CompiledShapeHash hashes the same
+/// fields; a field added here goes there too.
 bool SameCompiledShape(const QuerySpec& a, const QuerySpec& b) {
   if (a.kind != b.kind || a.state != b.state ||
       DoubleBits(a.epsilon) != DoubleBits(b.epsilon)) {
@@ -50,28 +52,32 @@ bool SameCompiledShape(const QuerySpec& a, const QuerySpec& b) {
   return true;
 }
 
-/// Bucket hash over the SameCompiledShape fields plus the window. Purely a
-/// dedupe accelerator: collisions are resolved by field comparison, and
-/// the hash never reaches any released value or plan ordering.
-std::uint64_t ShapeHash(std::size_t window_index, const QuerySpec& spec) {
-  std::uint64_t h = SplitMix64(static_cast<std::uint64_t>(window_index) ^
-                               (static_cast<std::uint64_t>(spec.kind) << 32));
-  h = SplitMix64(h ^ static_cast<std::uint32_t>(spec.state));
-  h = SplitMix64(h ^ DoubleBits(spec.epsilon));
-  if (spec.kind == QueryKind::kCustomScalar ||
-      spec.kind == QueryKind::kCustomVector) {
-    h = SplitMix64(h ^ DoubleBits(spec.lipschitz));
-    h = SplitMix64(h ^ static_cast<std::uint64_t>(spec.dim));
-    h = SplitMix64(h ^ std::hash<std::string>{}(spec.name));
-  }
-  return h;
-}
-
-/// One multiply-xorshift round: cheap and pipelinable, since each row is
-/// mixed independently of the others.
+/// One multiply-xorshift round. A row hashed in independent rounds of
+/// this pipelines with the next row's: no chain runs through a batch.
 inline std::uint64_t MulXorShift(std::uint64_t x) {
   x *= 0xBF58476D1CE4E5B9u;
   return x ^ (x >> 31);
+}
+
+/// Hash of the fields SameCompiledShape compares, seeded with `salt` (what
+/// else the caller keys on). With SameCompiledShape, the one place that
+/// lists those fields. Purely an accelerator: every user resolves
+/// collisions by field comparison, and the hash never reaches a released
+/// value or a plan's ordering.
+std::uint64_t CompiledShapeHash(const QuerySpec& spec, std::uint64_t salt) {
+  const std::uint64_t tags =
+      (static_cast<std::uint64_t>(static_cast<std::uint32_t>(spec.state))
+       << 8) |
+      static_cast<std::uint64_t>(spec.kind);
+  std::uint64_t h = MulXorShift(DoubleBits(spec.epsilon) ^ salt) +
+                    MulXorShift(tags + 0x9E3779B97F4A7C15u);
+  if (spec.kind == QueryKind::kCustomScalar ||
+      spec.kind == QueryKind::kCustomVector) {
+    h = MulXorShift(h ^ DoubleBits(spec.lipschitz)) +
+        MulXorShift(static_cast<std::uint64_t>(spec.dim) ^
+                    std::hash<std::string>{}(spec.name));
+  }
+  return MulXorShift(h);
 }
 
 /// The slice [*offset, *offset + *length) that `window` selects in a record
@@ -93,36 +99,22 @@ bool WindowSlice(const DataWindow& window, std::size_t size,
 
 }  // namespace
 
-// Each row's fields are mixed with its row index, independently of the
-// other rows (two short multiply chains), and the results summed, so the
-// loop pipelines; the sum is then mixed with `data_size`.
+// Each row is hashed on its own, its row index and raw window in the salt,
+// and the row hashes summed; the sum is then mixed with `data_size`.
 std::uint64_t BatchShapeFingerprint(const BatchQuerySpec& batch,
                                     std::size_t data_size) {
   std::uint64_t sum = 0;
   for (std::size_t i = 0; i < batch.items.size(); ++i) {
-    const QuerySpec& spec = batch.items[i].spec;
     const DataWindow& window = batch.items[i].window;
-    const std::uint64_t tags =
-        (static_cast<std::uint64_t>(static_cast<std::uint32_t>(spec.state))
-         << 32) |
-        (static_cast<std::uint64_t>(spec.kind) << 1) |
-        static_cast<std::uint64_t>(window.from_end);
-    std::uint64_t h =
-        MulXorShift(DoubleBits(spec.epsilon) + i * 0x9E3779B97F4A7C15u) +
-        MulXorShift(tags ^ (window.offset * 0x94D049BB133111EBu) ^
-                    (static_cast<std::uint64_t>(window.length) << 20));
-    if (spec.kind == QueryKind::kCustomScalar ||
-        spec.kind == QueryKind::kCustomVector) {
-      h = MulXorShift(h ^ DoubleBits(spec.lipschitz));
-      h = MulXorShift(h ^ static_cast<std::uint64_t>(spec.dim));
-      h ^= std::hash<std::string>{}(spec.name);
-    }
-    sum += MulXorShift(h);
+    const std::uint64_t salt =
+        (i * 0x9E3779B97F4A7C15u) ^ (window.offset * 0x94D049BB133111EBu) ^
+        (window.length * 0xD6E8FEB86659FD93u) ^
+        (window.from_end ? 0xA0761D6478BD642Fu : 0);
+    sum += CompiledShapeHash(batch.items[i].spec, salt);
   }
   return EnsureNonZeroFingerprint(
       SplitMix64(sum ^ SplitMix64(static_cast<std::uint64_t>(data_size))));
 }
-
 
 Result<std::pair<std::size_t, std::size_t>> ResolveDataWindow(
     const DataWindow& window, std::size_t size) {
@@ -229,7 +221,7 @@ Result<CompiledBatchPlan> CompileColdBatchPlan(PrivacyEngine* engine,
     any_full_record = any_full_record || full;
 
     std::vector<std::size_t>& bucket =
-        unique_buckets[ShapeHash(window_index, item.spec)];
+        unique_buckets[CompiledShapeHash(item.spec, window_index)];
     std::size_t u = lg.unique.size();
     for (const std::size_t candidate : bucket) {
       if (lg.unique[candidate].window_index == window_index &&
@@ -349,7 +341,7 @@ Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
   std::uint64_t generation = 0;
   bool store = false;
   std::shared_ptr<const CompiledBatchPlan> prepared =
-      engine->FindPreparedPlan(shape, &generation, &store);
+      PreparedPlanAccess::Find(engine, shape, &generation, &store);
   // Never trusted on the fingerprint alone: a false hit would release
   // under another query's sigma or Lipschitz constant.
   if (prepared != nullptr && MatchesPreparedPlan(*prepared, batch, data_size)) {
@@ -358,7 +350,7 @@ Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
   PF_ASSIGN_OR_RETURN(CompiledBatchPlan compiled,
                       CompileColdBatchPlan(engine, batch, data_size, request));
   prepared = std::make_shared<const CompiledBatchPlan>(std::move(compiled));
-  if (store) engine->StorePreparedPlan(shape, generation, prepared);
+  if (store) PreparedPlanAccess::Store(engine, shape, generation, prepared);
   return prepared;
 }
 

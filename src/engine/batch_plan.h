@@ -247,29 +247,20 @@ struct BatchReleaseResult {
 /// fields QuerySpec::CacheKey() encodes — custom queries are identified by
 /// their name, as in the compiled-query cache). A plan is stored on the
 /// second sighting of its shape within one model generation, invalidated
-/// by AppendObservations / SetRecordLength, never stored when its compile
-/// overlapped one, and FIFO-bounded by EngineOptions::cache_capacity.
+/// by AppendObservations / SetRecordLength, and never stored when its
+/// compile overlapped one. The cache evicts FIFO past
+/// EngineOptions::cache_capacity plans or past a fixed budget of resident
+/// rows (the sum of num_rows() over stored plans), whichever comes first.
+///
+/// A stored plan is shared: its custom query bodies are called by every
+/// session that is served it, from any thread, at the same time (see
+/// QuerySpec::scalar_fn).
 ///
 /// An empty batch and an already-expired deadline are refused before the
 /// lookup.
 Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
     PrivacyEngine* engine, const BatchQuerySpec& batch, std::size_t data_size,
     const RequestOptions& request = {});
-
-/// \brief The prepared-plan cache key of `batch` over a database of
-/// `data_size` observations: a fingerprint of every row's compiled-shape
-/// fields (QuerySpec::CacheKey()'s) and raw window. Like any hash it only
-/// finds candidates; MatchesPreparedPlan decides every hit.
-std::uint64_t BatchShapeFingerprint(const BatchQuerySpec& batch,
-                                    std::size_t data_size);
-
-/// \brief True iff compiling `batch` for a database of `data_size`
-/// observations would produce `plan`: the check that decides every
-/// prepared-plan hit (same row count and database size; each row's
-/// resolved window and compiled shape equal to those of the unique query
-/// the plan maps the row to).
-bool MatchesPreparedPlan(const CompiledBatchPlan& plan,
-                         const BatchQuerySpec& batch, std::size_t data_size);
 
 /// \brief PrepareBatchPlan, returning a copy of the plan by value (for
 /// callers that inspect or keep their own plan).

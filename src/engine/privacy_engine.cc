@@ -9,6 +9,7 @@
 #include "common/failpoint.h"
 #include "common/fingerprint.h"
 #include "common/parallel.h"
+#include "engine/batch_plan.h"
 #include "engine/session.h"
 #include "graphical/elimination.h"
 #include "pufferfish/node_classes.h"
@@ -385,8 +386,8 @@ Status PrivacyEngine::SetRecordLengthLocked(std::size_t new_length) {
     compiled_order_.clear();
     prepared_.clear();
     prepared_order_.clear();
-    prepared_sighted_size_ = 0;
-    prepared_sighted_next_ = 0;
+    prepared_rows_ = 0;
+    prepared_sighted_.fill(0);
   }
   return Status::OK();
 }
@@ -401,22 +402,17 @@ std::shared_ptr<const CompiledBatchPlan> PrivacyEngine::FindPreparedPlan(
   *store = false;
   auto it = prepared_.find(shape);
   if (it != prepared_.end()) return it->second;
-  for (std::size_t i = 0; i < prepared_sighted_size_; ++i) {
-    if (prepared_sighted_[i] == shape) {
-      prepared_sighted_[i] = 0;
-      *store = true;
-      return nullptr;
-    }
-  }
-  prepared_sighted_[prepared_sighted_next_] = shape;
-  prepared_sighted_next_ = (prepared_sighted_next_ + 1) % kSightedShapes;
-  if (prepared_sighted_size_ < kSightedShapes) ++prepared_sighted_size_;
+  std::uint64_t& sighted = prepared_sighted_[shape % kSightedShapes];
+  *store = sighted == shape;
+  sighted = *store ? 0 : shape;
   return nullptr;
 }
 
 void PrivacyEngine::StorePreparedPlan(
     std::uint64_t shape, std::uint64_t generation,
     std::shared_ptr<const CompiledBatchPlan> plan) {
+  const std::size_t rows = plan->num_rows();
+  if (rows > kPreparedPlanRows) return;
   MutexLock lock(compiled_mutex_);
   // Compile's rule: a plan whose compile overlapped a hot-swap is served
   // but never cached.
@@ -424,12 +420,15 @@ void PrivacyEngine::StorePreparedPlan(
   // A racing thread may have stored the same shape first; keep its plan.
   if (!prepared_.try_emplace(shape, std::move(plan)).second) return;
   prepared_order_.push_back(shape);
-  if (options_.cache_capacity > 0) {
-    while (prepared_.size() > options_.cache_capacity &&
-           !prepared_order_.empty()) {
-      prepared_.erase(prepared_order_.front());
-      prepared_order_.pop_front();
-    }
+  prepared_rows_ += rows;
+  while ((prepared_rows_ > kPreparedPlanRows ||
+          (options_.cache_capacity > 0 &&
+           prepared_.size() > options_.cache_capacity)) &&
+         !prepared_order_.empty()) {
+    auto oldest = prepared_.find(prepared_order_.front());
+    prepared_rows_ -= oldest->second->num_rows();
+    prepared_.erase(oldest);
+    prepared_order_.pop_front();
   }
 }
 

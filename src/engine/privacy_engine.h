@@ -304,11 +304,8 @@ class PrivacyEngine {
   Executor& executor() { return executor_; }
 
  private:
-  // The one user of the prepared-plan cache (declared with its defaults
-  // and documented in engine/batch_plan.h).
-  friend Result<std::shared_ptr<const CompiledBatchPlan>> PrepareBatchPlan(
-      PrivacyEngine* engine, const BatchQuerySpec& batch,
-      std::size_t data_size, const RequestOptions& request);
+  // The prepared-plan cache's entry points (engine/batch_plan_internal.h).
+  friend struct PreparedPlanAccess;
 
   PrivacyEngine(ModelSpec model, EngineOptions options,
                 std::unique_ptr<Mechanism> mechanism, std::size_t num_threads);
@@ -323,9 +320,11 @@ class PrivacyEngine {
       std::uint64_t shape, std::uint64_t* generation, bool* store)
       PF_EXCLUDES(compiled_mutex_);
 
-  /// \brief Stores a freshly compiled plan under `shape`, FIFO-bounded by
-  /// cache_capacity — unless the model was hot-swapped since `generation`
-  /// (the compile may straddle two record lengths), which drops it.
+  /// \brief Stores a freshly compiled plan under `shape` — unless the model
+  /// was hot-swapped since `generation` (the compile may straddle two
+  /// record lengths), which drops it. Evicts FIFO past cache_capacity plans
+  /// or kPreparedPlanRows resident rows; a plan of more rows than that is
+  /// never stored.
   void StorePreparedPlan(std::uint64_t shape, std::uint64_t generation,
                          std::shared_ptr<const CompiledBatchPlan> plan)
       PF_EXCLUDES(compiled_mutex_);
@@ -367,23 +366,33 @@ class PrivacyEngine {
   std::deque<std::string> compiled_order_ PF_GUARDED_BY(compiled_mutex_);
   /// Prepared batch plans by batch-shape fingerprint (see PrepareBatchPlan
   /// in engine/batch_plan.h): the whole compiled plan, so a resubmitted
-  /// shape binds only tickets, seed and data. Invalidated with compiled_
-  /// and bounded like it, FIFO by prepared_order_.
+  /// shape binds only tickets, seed and data. Invalidated with compiled_;
+  /// FIFO by prepared_order_, bounded by cache_capacity plans and by
+  /// kPreparedPlanRows resident rows. A plan's size grows with its rows
+  /// (per-row vectors, a spec and a compiled query per unique query), so
+  /// the row budget, not the plan count, bounds the cache's memory.
   std::unordered_map<std::uint64_t, std::shared_ptr<const CompiledBatchPlan>>
       prepared_ PF_GUARDED_BY(compiled_mutex_);
   std::deque<std::uint64_t> prepared_order_ PF_GUARDED_BY(compiled_mutex_);
-  /// The last kSightedShapes shapes sighted once this generation: slots
-  /// [0, prepared_sighted_size_) are live, overwritten round-robin once
-  /// full, and a hot-swap empties them by resetting the size. A plan is
-  /// stored only on its shape's second sighting, so traffic whose every
-  /// shape is new (each append tick's releases) never pays to store plans
-  /// the next append drops. A consumed sighting is zeroed (fingerprints
-  /// are never 0).
+  /// Sum of num_rows() over prepared_.
+  std::size_t prepared_rows_ PF_GUARDED_BY(compiled_mutex_) = 0;
+  /// Twice the rows of perfbench columnar's 16 resident 1024-row plans;
+  /// about 15 MiB when every row is a distinct custom query
+  /// (BM_PreparedCacheFill).
+  static constexpr std::size_t kPreparedPlanRows = std::size_t{1} << 15;
+  /// Shapes sighted once this generation, direct-mapped by fingerprint: a
+  /// slot holds the last shape that hashed to it, so a repeat is found in
+  /// one probe and a new shape takes its slot. A plan is stored only on
+  /// its shape's second sighting, so traffic whose shapes never recur
+  /// within a generation (each append tick's releases) does not store
+  /// plans the next append drops. A hot-swap zeroes the table, as does a
+  /// consumed sighting (fingerprints are never 0). 256 slots: in
+  /// perfbench's interactive and columnar workloads a shape recurs within
+  /// 64 other new shapes, and a sighting overwritten early only costs one
+  /// more cold compile.
   static constexpr std::size_t kSightedShapes = 256;
   std::array<std::uint64_t, kSightedShapes> prepared_sighted_
       PF_GUARDED_BY(compiled_mutex_) = {};
-  std::size_t prepared_sighted_size_ PF_GUARDED_BY(compiled_mutex_) = 0;
-  std::size_t prepared_sighted_next_ PF_GUARDED_BY(compiled_mutex_) = 0;
   std::atomic<std::uint64_t> session_seed_state_;
 };
 

@@ -62,7 +62,12 @@ struct QuerySpec {
   int state = 0;
   /// Name for custom queries (part of the compiled-query cache key).
   std::string name;
-  /// Custom query bodies (exactly one set, matching the kind).
+  /// Custom query bodies (exactly one set, matching the kind). They must be
+  /// safe to call concurrently: a prepared batch plan (PrepareBatchPlan in
+  /// engine/batch_plan.h) holds one copy of each body and is shared by every
+  /// release of its shape, so executor threads and synchronous callers may
+  /// call the same function object at once. Keep them free of unguarded
+  /// mutable state.
   std::function<double(const StateSequence&)> scalar_fn;
   std::function<Vector(const StateSequence&)> vector_fn;
   /// Lipschitz constant for custom queries.

@@ -2,8 +2,8 @@
 // batch shape is served the plan compiled for it before — equal to a cold
 // compile, never shared across shapes that differ in any compiled field,
 // dropped by a hot-swap of the record length, bounded FIFO by
-// cache_capacity — and the serving checks in front of it (expired
-// deadline, nothing charged) still hold on a hit.
+// cache_capacity and by its resident-row budget — and the serving checks
+// in front of it (expired deadline, nothing charged) still hold on a hit.
 #include "engine/batch_plan.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "engine/batch_plan_internal.h"
 #include "engine/engine.h"
 #include "graphical/markov_chain.h"
 
@@ -226,29 +227,36 @@ TEST(PreparedPlanTest, ShapesDifferingInOneFieldNeverSharePlans) {
   }
 }
 
-// The fingerprint only finds candidates. These two batches share a key —
-// in BatchShapeFingerprint's mix a row's state (shifted to bit 32) and its
-// window length (shifted by 20) overlap, so flipping state bit 0 and
-// window-length bit 12 together cancels — yet differ in state and window:
-// the resident plan must not be served for the other batch, and the
-// other batch must not displace it.
+// The fingerprint only finds candidates. A plan resident under another
+// batch's key — what a fingerprint collision leaves behind — must not be
+// served for that batch, and that batch must not displace it.
 TEST(PreparedPlanTest, FingerprintCollisionIsNeverServed) {
-  constexpr std::size_t kLong = 5000;
   BatchQuerySpec a;
   a.Add(QuerySpec::StateFrequency(0, 0.5), DataWindow::Range(0, 8));
   BatchQuerySpec b;
-  b.Add(QuerySpec::StateFrequency(1, 0.5), DataWindow::Range(0, 8 ^ 4096));
-  ASSERT_EQ(BatchShapeFingerprint(a, kLong), BatchShapeFingerprint(b, kLong));
+  b.Add(QuerySpec::StateFrequency(1, 0.5), DataWindow::Range(0, 9));
 
-  auto engine = PreparedEngine(kLong);
-  const auto a_plan = PrepareStored(engine.get(), a, kLong);
+  auto engine = PreparedEngine(kLength);
+  const auto a_plan = PrepareStored(engine.get(), a, kLength);
+  // Plant a's plan under b's key.
+  const std::uint64_t b_key = BatchShapeFingerprint(b, kLength);
+  ASSERT_NE(b_key, BatchShapeFingerprint(a, kLength));
+  std::uint64_t generation = 0;
+  bool store = false;
+  ASSERT_EQ(PreparedPlanAccess::Find(engine.get(), b_key, &generation, &store),
+            nullptr);
+  PreparedPlanAccess::Store(engine.get(), b_key, generation, a_plan);
+
   for (int i = 0; i < 3; ++i) {
-    const auto b_plan = Prepare(engine.get(), b, kLong);
+    const auto b_plan = Prepare(engine.get(), b, kLength);
     EXPECT_NE(b_plan.get(), a_plan.get());
     EXPECT_EQ(b_plan->logical.unique[0].spec.state, 1);
-    EXPECT_EQ(b_plan->logical.windows[0].length, 8u ^ 4096u);
+    EXPECT_EQ(b_plan->logical.windows[0].length, 9u);
   }
-  EXPECT_EQ(Prepare(engine.get(), a, kLong).get(), a_plan.get());
+  EXPECT_EQ(
+      PreparedPlanAccess::Find(engine.get(), b_key, &generation, &store).get(),
+      a_plan.get());
+  EXPECT_EQ(Prepare(engine.get(), a, kLength).get(), a_plan.get());
 }
 
 TEST(PreparedPlanTest, AppendAndSetRecordLengthInvalidate) {
@@ -365,6 +373,40 @@ TEST(PreparedPlanTest, FifoEvictionAtCapacityTwo) {
   EXPECT_EQ(Prepare(engine.get(), batch, 24).get(), a3.get());
   EXPECT_EQ(Prepare(engine.get(), batch, 22).get(), c.get());
   EXPECT_NE(Prepare(engine.get(), batch, 23).get(), b.get());
+}
+
+// Plans of many rows are bounded by resident rows, not only by count:
+// past the row budget the oldest plan goes (cache_capacity, 1024 by
+// default, is far from reached), and a plan larger than the whole budget
+// is served but never stored.
+TEST(PreparedPlanTest, ResidentRowsBoundedByRowBudget) {
+  constexpr std::size_t kRows = 1024;
+  constexpr std::size_t kFit = PreparedPlanAccess::kRowBudget / kRows;
+  static_assert(kFit * kRows == PreparedPlanAccess::kRowBudget,
+                "the budget holds a whole number of plans");
+  BatchQuerySpec batch;
+  for (std::size_t r = 0; r < kRows; ++r) batch.Add(QuerySpec::Sum(0.5));
+  auto engine = PreparedEngine(kLength);
+  // kFit + 1 shapes: one batch over kFit + 1 database sizes.
+  std::vector<std::shared_ptr<const CompiledBatchPlan>> plans;
+  for (std::size_t n = 0; n <= kFit; ++n) {
+    plans.push_back(PrepareStored(engine.get(), batch, kLength + n));
+  }
+  EXPECT_NE(Prepare(engine.get(), batch, kLength).get(), plans[0].get());
+  for (std::size_t n = 1; n <= kFit; ++n) {
+    EXPECT_EQ(Prepare(engine.get(), batch, kLength + n).get(), plans[n].get())
+        << n;
+  }
+
+  BatchQuerySpec huge;
+  for (std::size_t r = 0; r <= PreparedPlanAccess::kRowBudget; ++r) {
+    huge.Add(QuerySpec::Sum(0.5));
+  }
+  const auto first = PrepareStored(engine.get(), huge, kLength);
+  EXPECT_NE(Prepare(engine.get(), huge, kLength).get(), first.get());
+  // Refusing it evicted nothing.
+  EXPECT_EQ(Prepare(engine.get(), batch, kLength + kFit).get(),
+            plans[kFit].get());
 }
 
 }  // namespace

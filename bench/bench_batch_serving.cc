@@ -11,7 +11,12 @@
 // caches hot — the lookup every served query pays) and BM_SessionCharge
 // (a synchronous Release of a trivial query on a sensitivity model, so the
 // ledger charge and plan bookkeeping dominate). BM_BatchLaplaceNoise times
-// the noise kernel on its own, rows {1, 1024} x width {1, 8}.
+// the noise kernel on its own, rows {1, 1024} x width {1, 8} plus the
+// 1024-row columnar mix (width arg 0: every 4th row 8 wide, the rest 1,
+// perfbench's k = 8 mix), each at SimdLevel kPortable (last arg 0) and at
+// the detected level (1); the label names the kernel full row groups took
+// (scalar, or the AVX-512 wide kernel avx512x32), so the JSON records both
+// paths side by side.
 //
 // The acceptance claim is the items_per_second ratio of
 // BM_ColumnarSubmit/1024/1 over BM_ScalarSubmitBatch/1024/1 (single
@@ -286,9 +291,15 @@ BENCHMARK(BM_PreparedCacheFill)
 void BM_BatchLaplaceNoise(benchmark::State& state) {
   const std::size_t rows = static_cast<std::size_t>(state.range(0));
   const std::size_t width = static_cast<std::size_t>(state.range(1));
-  std::vector<std::size_t> offsets(rows + 1);
-  for (std::size_t r = 0; r <= rows; ++r) offsets[r] = r * width;
-  std::vector<double> values(rows * width, 0.0);
+  const SimdLevel restore = ActiveSimdLevel();
+  SetSimdLevel(state.range(2) == 0 ? SimdLevel::kPortable
+                                   : DetectedSimdLevel());
+  std::vector<std::size_t> offsets(rows + 1, 0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t mixed = r % 4 == 0 ? 8 : 1;
+    offsets[r + 1] = offsets[r] + (width != 0 ? width : mixed);
+  }
+  std::vector<double> values(offsets[rows], 0.0);
   std::vector<double> scales(rows, 2.0);
   std::vector<std::uint64_t> seeds(rows);
   std::uint64_t ticket = 0;
@@ -299,12 +310,17 @@ void BM_BatchLaplaceNoise(benchmark::State& state) {
     benchmark::DoNotOptimize(values.data());
     benchmark::ClobberMemory();
   }
+  state.SetLabel(NoiseKernelName());
+  SetSimdLevel(restore);
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(rows));
   state.counters["rows"] = static_cast<double>(rows);
   state.counters["width"] = static_cast<double>(width);
 }
-BENCHMARK(BM_BatchLaplaceNoise)->ArgsProduct({{1, 1024}, {1, 8}});
+BENCHMARK(BM_BatchLaplaceNoise)
+    ->ArgsProduct({{1, 1024}, {1, 8}, {0, 1}})
+    ->Args({1024, 0, 0})
+    ->Args({1024, 0, 1});
 
 void BM_CompileWarm(benchmark::State& state) {
   auto engine = ServingEngine(1);

@@ -103,7 +103,10 @@ class Matrix {
 
 /// \brief Instruction set the blocked product kernels dispatch to. The
 /// portable kernel is always available; kAvx2 is an explicitly vectorized
-/// 4-wide double kernel selected at runtime when the CPU supports it.
+/// 4-wide double kernel selected at runtime when the CPU supports it. At
+/// kAvx2 the columnar noise kernel (BatchLaplaceNoise) also uses AVX-512F
+/// and AVX-512DQ when the CPU has them; there is no separate level for
+/// that, so kAvx2 stays the highest level DetectedSimdLevel() reports.
 enum class SimdLevel {
   kPortable,
   kAvx2,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 #include <limits>
 
 #include "common/matrix.h"
@@ -166,20 +167,33 @@ __attribute__((target("avx2"))) void ClipScalesAvx2(const double* lipschitz,
 // computes word k from words k, k + 1 and k + 156 (mod 312) as they stand
 // when the pass reaches k. Twisting word k only when it is drawn therefore
 // yields the same stream, and a freshly seeded engine's first d <= 156
-// outputs read only seed words [0, 156 + d). Each lane keeps a seeded and a
-// draw cursor: a row of d draws costs 156 + d seeding steps and d twist
+// outputs read only seed words [0, d] and [156, 156 + d).
+//
+// The scalar kernel (the portable reference) keeps a seeded and a draw
+// cursor per lane: a row of d draws costs 156 + d seeding steps and d twist
 // steps instead of 312 + 312. Drawing past word 311 starts the next
 // generation exactly as std::'s regular retwist does, and a u = 0 redraw
-// past the seeded prefix extends it.
+// past the seeded prefix extends it. The seeding recurrence is strictly
+// serial per engine (each word depends on the previous) but independent
+// across rows, so groups of kNoiseLanes rows seed their shared prefix
+// interleaved and the multiply chains pipeline.
 //
-// The seeding recurrence is strictly serial per engine (each word depends
-// on the previous) but independent across rows, so groups of kNoiseLanes
-// rows seed their shared prefix interleaved and the multiply chains
-// pipeline. The per-draw conversion replicates
-// uniform_real_distribution<double>(0, 1): one tempered 64-bit output
-// divided by 2^64, with generate_canonical's below-1.0 clamp. Pinned
-// bit-for-bit against std:: by the BatchLaplaceNoise* kernel tests and the
-// scalar-vs-columnar serving suite.
+// The wide kernel (AVX-512F+DQ, taken at SimdLevel::kAvx2) runs the same
+// recurrence for kWideNoiseRows rows as 4 register-held 8-lane chains and
+// stores only the seed words the group's first-generation draws read:
+// [0, widest] and [156, 156 + widest). It then twists, tempers and
+// converts each draw 8 lanes at a time. Every step is integer arithmetic
+// except the conversion, a correctly rounded u64 -> double (the same
+// rounding as the scalar cast) times the exact power 2^-64, so each lane's
+// draws are the scalar kernel's bit for bit. A row that drew u = 0 would
+// need the redraw, which only the scalar kernel does: the wide kernel
+// hands that row back whole, and the scalar kernel replays it from its
+// seed.
+//
+// Both kernels replicate uniform_real_distribution<double>(0, 1) per draw:
+// one tempered 64-bit output divided by 2^64, with generate_canonical's
+// below-1.0 clamp. Pinned bit-for-bit against std:: by the
+// BatchLaplaceNoise* kernel tests and the scalar-vs-columnar serving suite.
 
 constexpr std::size_t kMtN = 312;
 constexpr std::size_t kMtM = 156;
@@ -188,6 +202,8 @@ constexpr std::uint64_t kMtUpperMask = 0xffffffff80000000ULL;
 constexpr std::uint64_t kMtLowerMask = 0x000000007fffffffULL;
 constexpr std::uint64_t kMtInitMult = 6364136223846793005ULL;
 constexpr std::size_t kNoiseLanes = 8;
+/// The largest double below 1.0: generate_canonical's clamp value.
+constexpr double kBelowOne = 1.0 - std::numeric_limits<double>::epsilon() / 2;
 
 /// One row's engine, contiguous so a narrow row touches only the cache
 /// lines of its prefix. Words [0, pos) are twisted for the current
@@ -198,6 +214,23 @@ struct MtLane {
   std::size_t seeded;
   std::size_t pos;
 };
+
+/// The wide kernel's seed slots: slot i < w + 1 holds seed word i, slot
+/// w + 1 + j holds seed word 156 + j, for a group whose widest row draws
+/// w words. Each slot holds one word per row of the group, row-minor, so a
+/// slot is 4 aligned vectors; drawing word k overwrites slot k with draw
+/// k's unit double (bits), which no later draw reads.
+constexpr std::size_t kWideSlots = 2 * kWideNoiseMaxWidth + 1;
+
+/// The noise stage's ~20 KB of stack scratch, left uninitialised: each
+/// kernel writes the words it reads first. The wide kernel's slots share
+/// the scalar kernel's storage, so taking it adds no stack.
+union NoiseScratch {
+  MtLane lanes[kNoiseLanes];
+  alignas(64) std::uint64_t slots[kWideSlots * kWideNoiseRows];
+};
+static_assert(sizeof(NoiseScratch) == sizeof(MtLane) * kNoiseLanes,
+              "the wide kernel's slots must fit in the scalar lanes");
 
 inline std::uint64_t MtTemper(std::uint64_t y) {
   y ^= (y >> 29) & 0x5555555555555555ULL;
@@ -262,7 +295,157 @@ inline std::uint64_t MtNext(MtLane* mt) {
 /// to double rounds up to 2^64 (x within 512 of the top of the range).
 inline double MtUnitDraw(std::uint64_t x) {
   const double u = static_cast<double>(x) / 18446744073709551616.0;
-  return u >= 1.0 ? 1.0 - std::numeric_limits<double>::epsilon() / 2.0 : u;
+  return u >= 1.0 ? kBelowOne : u;
+}
+
+/// Draws of the widest row in rows [begin, end).
+std::size_t WidestRow(const std::size_t* offsets, std::size_t begin,
+                      std::size_t end) {
+  std::size_t widest = 0;
+  for (std::size_t r = begin; r < end; ++r) {
+    widest = std::max(widest, offsets[r + 1] - offsets[r]);
+  }
+  return widest;
+}
+
+/// The scalar kernel over rows [begin, end), in groups of kNoiseLanes.
+void NoiseRowsScalar(double* values, const std::size_t* offsets,
+                     const double* scales, const std::uint64_t* seeds,
+                     std::size_t begin, std::size_t end, MtLane* mt) {
+  for (std::size_t base = begin; base < end; base += kNoiseLanes) {
+    const std::size_t lanes = std::min(kNoiseLanes, end - base);
+    MtSeedLanes(mt, seeds + base, lanes,
+                MtSeedPrefix(WidestRow(offsets, base, base + lanes)));
+    for (std::size_t l = 0; l < lanes; ++l) {
+      const std::size_t r = base + l;
+      double* out = values + offsets[r];
+      const std::size_t n = offsets[r + 1] - offsets[r];
+      const double scale = scales[r];
+      for (std::size_t j = 0; j < n; ++j) {
+        // Rng::Laplace's boundary redraw: u = 0 maps to log(0), so the
+        // scalar path discards it; discard the same draws here.
+        double u;
+        do {
+          u = MtUnitDraw(MtNext(&mt[l]));
+        } while (u == 0.0);
+        out[j] += LaplaceInverseCdf(u, scale);
+      }
+    }
+  }
+}
+
+#ifdef PF_SIMD_X86
+bool WideNoiseSupported() {
+  static const bool supported = __builtin_cpu_supports("avx512f") &&
+                                __builtin_cpu_supports("avx512dq");
+  return supported;
+}
+
+// The wide kernel is written with GCC vector extensions, not intrinsics:
+// under target("avx512f,avx512dq") they lower to the same instructions
+// (vpmullq, vpsrlq, vpternlogq, vcvtuqq2pd), while GCC 12's
+// avx512fintrin.h shift and min intrinsics raise -Wmaybe-uninitialized.
+typedef std::uint64_t U64x8 __attribute__((vector_size(64), may_alias));
+typedef std::int64_t I64x8 __attribute__((vector_size(64), may_alias));
+typedef double F64x8 __attribute__((vector_size(64), may_alias));
+constexpr std::size_t kWideVecs = kWideNoiseRows / 8;
+
+/// One seeding step on the group's chains: x = mult * (x ^ x >> 62) + i.
+__attribute__((target("avx512f,avx512dq"))) inline void MtSeedStep512(
+    U64x8* x, std::uint64_t i) {
+  for (std::size_t v = 0; v < kWideVecs; ++v) {
+    x[v] = kMtInitMult * (x[v] ^ (x[v] >> 62)) + i;
+  }
+}
+
+__attribute__((target("avx512f,avx512dq"))) inline void MtStoreSlot512(
+    const U64x8* x, std::uint64_t* slot) {
+  for (std::size_t v = 0; v < kWideVecs; ++v) {
+    reinterpret_cast<U64x8*>(slot)[v] = x[v];
+  }
+}
+
+/// The wide kernel's draws for one group of kWideNoiseRows rows whose
+/// widest row draws w <= kWideNoiseMaxWidth words: leaves draw k of row l
+/// as a unit double's bits in slots[k * kWideNoiseRows + l], for k < w.
+/// Returns the mask of rows that drew u = 0 (the scalar kernel replays
+/// them; a draw past a row's width counts too, which costs only speed).
+__attribute__((target("avx512f,avx512dq"))) std::uint32_t WideNoiseDraws(
+    const std::uint64_t* seeds, std::size_t w, std::uint64_t* slots) {
+  U64x8 x[kWideVecs];
+  std::memcpy(x, seeds, sizeof(x));
+  MtStoreSlot512(x, slots);
+  std::size_t i = 1;
+  for (; i <= w; ++i) {
+    MtSeedStep512(x, i);
+    MtStoreSlot512(x, slots + i * kWideNoiseRows);
+  }
+  for (; i < kMtM; ++i) MtSeedStep512(x, i);
+  for (; i < kMtM + w; ++i) {
+    MtSeedStep512(x, i);
+    MtStoreSlot512(x, slots + (i - kMtM + w + 1) * kWideNoiseRows);
+  }
+
+  const F64x8 below_one = F64x8{} + kBelowOne;
+  I64x8 drew_zero[kWideVecs] = {};
+  for (std::size_t k = 0; k < w; ++k) {
+    U64x8* word = reinterpret_cast<U64x8*>(slots + k * kWideNoiseRows);
+    const U64x8* next = word + kWideVecs;
+    const U64x8* mid =
+        reinterpret_cast<const U64x8*>(slots + (w + 1 + k) * kWideNoiseRows);
+    for (std::size_t v = 0; v < kWideVecs; ++v) {
+      const U64x8 y = (word[v] & kMtUpperMask) | (next[v] & kMtLowerMask);
+      U64x8 t = mid[v] ^ (y >> 1) ^ (kMtMatrixA & (0 - (y & 1)));
+      t ^= (t >> 29) & 0x5555555555555555ULL;
+      t ^= (t << 17) & 0x71d67fffeda60000ULL;
+      t ^= (t << 37) & 0xfff7eee000000000ULL;
+      t ^= t >> 43;
+      drew_zero[v] |= t == 0;
+      // x / 2^64, clamped below 1.0; every u < 1 passes unchanged.
+      const F64x8 u = __builtin_convertvector(t, F64x8) * 0x1p-64;
+      word[v] = reinterpret_cast<U64x8>(u < below_one ? u : below_one);
+    }
+  }
+  std::uint32_t redraw = 0;
+  for (std::size_t l = 0; l < kWideNoiseRows; ++l) {
+    if (drew_zero[l / 8][l % 8] != 0) redraw |= 1u << l;
+  }
+  return redraw;
+}
+
+/// The wide kernel over rows [base, base + kWideNoiseRows), whose widest
+/// row draws w <= kWideNoiseMaxWidth words.
+void NoiseGroupWide(double* values, const std::size_t* offsets,
+                    const double* scales, const std::uint64_t* seeds,
+                    std::size_t base, std::size_t w, NoiseScratch* scratch) {
+  std::uint32_t redraw = WideNoiseDraws(seeds + base, w, scratch->slots);
+  for (std::size_t l = 0; l < kWideNoiseRows; ++l) {
+    if ((redraw >> l) & 1u) continue;
+    const std::size_t r = base + l;
+    double* out = values + offsets[r];
+    const std::size_t n = offsets[r + 1] - offsets[r];
+    for (std::size_t j = 0; j < n; ++j) {
+      double u;
+      std::memcpy(&u, &scratch->slots[j * kWideNoiseRows + l], sizeof(u));
+      out[j] += LaplaceInverseCdf(u, scales[r]);
+    }
+  }
+  // Every other row is done with the slots: the scalar lanes reuse them.
+  for (; redraw != 0; redraw &= redraw - 1) {
+    const std::size_t r =
+        base + static_cast<std::size_t>(__builtin_ctz(redraw));
+    NoiseRowsScalar(values, offsets, scales, seeds, r, r + 1, scratch->lanes);
+  }
+}
+#endif  // PF_SIMD_X86
+
+/// Whether full row groups take the wide kernel at the active SimdLevel.
+bool WideNoiseActive() {
+#ifdef PF_SIMD_X86
+  return ActiveSimdLevel() == SimdLevel::kAvx2 && WideNoiseSupported();
+#else
+  return false;
+#endif
 }
 
 }  // namespace
@@ -301,32 +484,28 @@ void ClipScales(const double* lipschitz, const double* sigmas, std::size_t n,
 void BatchLaplaceNoise(double* values, const std::size_t* offsets,
                        const double* scales, const std::uint64_t* seeds,
                        std::size_t rows) {
-  // ~20 KB, left uninitialised: each row writes the words of its prefix
-  // before reading them, and touches no others.
-  MtLane mt[kNoiseLanes];
-  for (std::size_t base = 0; base < rows; base += kNoiseLanes) {
-    const std::size_t lanes = std::min(kNoiseLanes, rows - base);
-    std::size_t widest = 0;
-    for (std::size_t r = base; r < base + lanes; ++r) {
-      widest = std::max(widest, offsets[r + 1] - offsets[r]);
-    }
-    MtSeedLanes(mt, seeds + base, lanes, MtSeedPrefix(widest));
-    for (std::size_t l = 0; l < lanes; ++l) {
-      const std::size_t r = base + l;
-      double* out = values + offsets[r];
-      const std::size_t n = offsets[r + 1] - offsets[r];
-      const double scale = scales[r];
-      for (std::size_t j = 0; j < n; ++j) {
-        // Rng::Laplace's boundary redraw: u = 0 maps to log(0), so the
-        // scalar path discards it; discard the same draws here.
-        double u;
-        do {
-          u = MtUnitDraw(MtNext(&mt[l]));
-        } while (u == 0.0);
-        out[j] += LaplaceInverseCdf(u, scale);
+  NoiseScratch scratch;
+  std::size_t base = 0;
+#ifdef PF_SIMD_X86
+  if (WideNoiseActive()) {
+    for (; base + kWideNoiseRows <= rows; base += kWideNoiseRows) {
+      const std::size_t widest =
+          WidestRow(offsets, base, base + kWideNoiseRows);
+      if (widest <= kWideNoiseMaxWidth) {
+        NoiseGroupWide(values, offsets, scales, seeds, base, widest, &scratch);
+      } else {
+        NoiseRowsScalar(values, offsets, scales, seeds, base,
+                        base + kWideNoiseRows, scratch.lanes);
       }
     }
   }
+#endif
+  // The partial tail group, or every row when the wide kernel is off.
+  NoiseRowsScalar(values, offsets, scales, seeds, base, rows, scratch.lanes);
+}
+
+const char* NoiseKernelName() {
+  return WideNoiseActive() ? "avx512x32" : "scalar";
 }
 
 }  // namespace pf

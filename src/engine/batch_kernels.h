@@ -15,7 +15,9 @@
 // for: AggregateStates is pure integer arithmetic (sums and counts are
 // associative and exact, so lane order cannot change the result), and
 // ClipScales is elementwise with one rounding per element. The
-// scalar-vs-columnar suite re-verifies both at every level.
+// scalar-vs-columnar suite re-verifies both at every level. The noise
+// stage (BatchLaplaceNoise, below) dispatches too, and emits one
+// generator stream on every path.
 //
 // This file is on pf-analyzer's bit-exact-pinned list (determinism pass):
 // no unordered iteration, no unseeded randomness, no FMA contraction.
@@ -86,11 +88,30 @@ void ClipScales(const double* lipschitz, const double* sigmas, std::size_t n,
 /// words, so the kernel seeds each group of rows only that far (interleaved
 /// across the group, so the serial seeding recurrences pipeline) and twists
 /// each state word when it is drawn. Wider rows, the regular retwist after
-/// 312 draws and the u = 0 redraw extend a row's state on demand. Not
-/// SIMD-dispatched: every SimdLevel runs this same integer code.
+/// 312 draws and the u = 0 redraw extend a row's state on demand.
+///
+/// Two kernels emit that one stream. The scalar kernel is the portable
+/// reference and runs at every SimdLevel. At kAvx2 on a CPU with
+/// AVX-512F+DQ, full groups of kWideNoiseRows rows whose widest row has at
+/// most kWideNoiseMaxWidth draws take the wide kernel instead: it seeds the
+/// group's engines in 8-lane registers, stores only the seed words a draw
+/// reads, and twists, tempers and converts 8 draws per instruction with
+/// integer ops and an exact u64 -> double scaling (the logarithm stays
+/// scalar). The partial tail group, over-wide groups and any row that drew
+/// u = 0 run the scalar kernel. NoiseKernelName() names the kernel full
+/// groups take.
 void BatchLaplaceNoise(double* values, const std::size_t* offsets,
                        const double* scales, const std::uint64_t* seeds,
                        std::size_t rows);
+
+/// Rows per group on BatchLaplaceNoise's wide kernel, and the widest row
+/// (in draws) such a group may hold.
+inline constexpr std::size_t kWideNoiseRows = 32;
+inline constexpr std::size_t kWideNoiseMaxWidth = 32;
+
+/// \brief The kernel BatchLaplaceNoise runs full row groups on at the
+/// active SimdLevel: "avx512x32" (the wide kernel) or "scalar".
+const char* NoiseKernelName();
 
 }  // namespace pf
 

@@ -421,7 +421,8 @@ std::string CompiledBatchPlan::Explain() const {
   out += "  clip: scales[r] = L[r] * sigma[r] (simd=" +
          std::string(SimdLevelName(ActiveSimdLevel())) + ")\n";
   out += "  noise: Laplace per coordinate from a per-ticket mt19937_64 seeded "
-         "by TicketNoiseSeed(seed, ticket)\n";
+         "by TicketNoiseSeed(seed, ticket) (kernel=" +
+         std::string(NoiseKernelName()) + ")\n";
   return out;
 }
 

@@ -181,6 +181,34 @@ TEST(BatchPlanTest, ExplainShowsBothPlanLevels) {
   EXPECT_NE(text.find("noise: Laplace"), std::string::npos) << text;
 }
 
+// The noise line names the kernel full row groups take, like the clip
+// line's simd=: forcing the portable level must flip it to the scalar one.
+TEST(BatchPlanTest, ExplainNamesTheNoiseKernel) {
+  auto engine = PlanEngine(24);
+  BatchQuerySpec batch;
+  batch.Add(QuerySpec::Sum(0.5));
+  const CompiledBatchPlan plan =
+      CompileBatchPlan(engine.get(), batch, 24).ValueOrDie();
+  const SimdLevel restore = ActiveSimdLevel();
+  SetSimdLevel(SimdLevel::kPortable);
+  const std::string portable = plan.Explain();
+  SetSimdLevel(DetectedSimdLevel());
+  const std::string detected = plan.Explain();
+  const std::string detected_kernel = NoiseKernelName();
+  SetSimdLevel(restore);
+  EXPECT_NE(portable.find("TicketNoiseSeed(seed, ticket) (kernel=scalar)"),
+            std::string::npos)
+      << portable;
+  EXPECT_NE(detected.find("(kernel=" + detected_kernel + ")"),
+            std::string::npos)
+      << detected;
+  if (detected_kernel != "avx512x32") {
+    GTEST_SKIP() << "CPU lacks AVX-512F/DQ: the noise kernel is scalar at "
+                    "every SimdLevel, so the Explain() line cannot flip";
+  }
+  EXPECT_EQ(detected.find("kernel=scalar"), std::string::npos) << detected;
+}
+
 // -------------------------------------------------------------- execution --
 
 // ExecuteBatchPlan against the primitives it promises to reproduce: truth
@@ -356,9 +384,11 @@ TEST(BatchKernelsTest, BatchLaplaceNoiseMatchesPerRowRngBitForBit) {
   }
 }
 
-/// Runs BatchLaplaceNoise over rows of the given widths and checks every
-/// value bit for bit against a fresh Rng(seed) + AddLaplaceNoise per row.
+/// Runs BatchLaplaceNoise over rows of the given widths and scales and
+/// checks every value bit for bit against a fresh Rng(seed) +
+/// AddLaplaceNoise per row.
 void ExpectBatchNoiseMatchesRng(const std::vector<std::size_t>& widths,
+                                const std::vector<double>& scales,
                                 std::uint64_t salt) {
   const std::size_t rows = widths.size();
   std::vector<std::size_t> offsets(rows + 1, 0);
@@ -370,10 +400,8 @@ void ExpectBatchNoiseMatchesRng(const std::vector<std::size_t>& widths,
     expected[i] = 0.5 * static_cast<double>(i % 11) - 2.0;
   }
   std::vector<double> actual = expected;
-  std::vector<double> scales(rows);
   std::vector<std::uint64_t> seeds(rows);
   for (std::size_t r = 0; r < rows; ++r) {
-    scales[r] = 0.75 + 0.25 * static_cast<double>(r % 5);
     seeds[r] = TicketNoiseSeed(salt, r + 1);
     Rng rng(seeds[r]);
     AddLaplaceNoise(expected.data() + offsets[r], widths[r], scales[r], &rng);
@@ -384,9 +412,20 @@ void ExpectBatchNoiseMatchesRng(const std::vector<std::size_t>& widths,
     for (std::size_t i = offsets[r]; i < offsets[r + 1]; ++i) {
       ASSERT_TRUE(BitEqual(expected[i], actual[i]))
           << "salt " << salt << ", row " << r << " of " << rows << " (width "
-          << widths[r] << "), draw " << i - offsets[r];
+          << widths[r] << ", scale " << scales[r] << "), draw "
+          << i - offsets[r];
     }
   }
+}
+
+/// The same check with the default scales 0.75 + 0.25 * (r % 5).
+void ExpectBatchNoiseMatchesRng(const std::vector<std::size_t>& widths,
+                                std::uint64_t salt) {
+  std::vector<double> scales(widths.size());
+  for (std::size_t r = 0; r < scales.size(); ++r) {
+    scales[r] = 0.75 + 0.25 * static_cast<double>(r % 5);
+  }
+  ExpectBatchNoiseMatchesRng(widths, scales, salt);
 }
 
 TEST(BatchKernelsTest, BatchLaplaceNoiseLazyPrefixBoundaries) {
@@ -420,6 +459,71 @@ TEST(BatchKernelsTest, BatchLaplaceNoiseLazyPrefixBoundaries) {
                                  std::size_t{625}}) {
     ExpectBatchNoiseMatchesRng({1, 1, 1, wide, 1, 1, 1, 1, 1}, salt++);
   }
+}
+
+/// Row counts and widths that reach the wide noise kernel's full
+/// kWideNoiseRows-row groups (and its fallbacks), checked bit for bit
+/// against Rng + AddLaplaceNoise at the active SimdLevel. Counts of 31, 33
+/// and 65 leave a partial tail group; widths straddle kWideNoiseMaxWidth
+/// (the widest row a wide group takes) and the 155/156 half state; one
+/// over-cap row sits inside an otherwise narrow group; every fifth scale
+/// is 0.
+void ExpectFullGroupNoiseMatchesRng() {
+  const std::size_t cap = kWideNoiseMaxWidth;
+  std::uint64_t salt = 100;
+  for (const std::size_t rows :
+       {std::size_t{31}, std::size_t{32}, std::size_t{33}, std::size_t{64},
+        std::size_t{65}, std::size_t{1024}}) {
+    std::vector<double> scales(rows);
+    for (std::size_t r = 0; r < rows; ++r) {
+      scales[r] = r % 5 == 3 ? 0.0 : 0.5 + 0.375 * static_cast<double>(r % 7);
+    }
+    std::vector<std::vector<std::size_t>> cases;
+    for (const std::size_t w :
+         {std::size_t{1}, cap - 1, cap, cap + 1, std::size_t{155},
+          std::size_t{156}}) {
+      cases.emplace_back(rows, w);  // Every row at one width.
+      std::vector<std::size_t> mixed(rows);  // Most rows narrower.
+      for (std::size_t r = 0; r < rows; ++r) {
+        const std::size_t pattern[] = {0, 1, 8, w, 1, 2};
+        mixed[r] = pattern[(r * 5 + rows) % 6];
+      }
+      cases.push_back(mixed);
+    }
+    // Narrow rows (1 and 8: the columnar mix), then one over-cap row in
+    // the first group: just over the cap, and past the retwist.
+    std::vector<std::size_t> narrow(rows);
+    for (std::size_t r = 0; r < rows; ++r) narrow[r] = r % 4 == 0 ? 8 : 1;
+    cases.push_back(narrow);
+    for (const std::size_t over : {cap + 1, std::size_t{313}}) {
+      cases.push_back(narrow);
+      cases.back()[rows / 2 < 17 ? rows / 2 : 17] = over;
+    }
+    for (const std::vector<std::size_t>& widths : cases) {
+      ExpectBatchNoiseMatchesRng(widths, scales, salt++);
+    }
+  }
+}
+
+TEST(BatchKernelsTest, BatchLaplaceNoiseFullGroupsPortable) {
+  const SimdLevel restore = ActiveSimdLevel();
+  SetSimdLevel(SimdLevel::kPortable);
+  EXPECT_STREQ(NoiseKernelName(), "scalar");
+  ExpectFullGroupNoiseMatchesRng();
+  SetSimdLevel(restore);
+}
+
+TEST(BatchKernelsTest, BatchLaplaceNoiseFullGroupsWideKernel) {
+  const SimdLevel restore = ActiveSimdLevel();
+  SetSimdLevel(DetectedSimdLevel());
+  if (std::string(NoiseKernelName()) != "avx512x32") {
+    SetSimdLevel(restore);
+    GTEST_SKIP() << "CPU lacks AVX-512F/DQ: the wide noise kernel is not "
+                    "taken here, so this case would only repeat the "
+                    "portable one";
+  }
+  ExpectFullGroupNoiseMatchesRng();
+  SetSimdLevel(restore);
 }
 
 }  // namespace

@@ -172,34 +172,43 @@ TEST(BatchServingBitIdentityTest, MatchesScalarAcrossModelsAndThreads) {
 
 // SIMD invariance end to end: the same batch served under forced-portable
 // and hardware dispatch must release identical bits (the kernels aggregate
-// in integers and clip with the same IEEE products, so there is nothing to
-// round differently).
+// in integers, clip with the same IEEE products, and draw the same noise
+// stream, so there is nothing to round differently). The 72-row batch
+// fills two of the noise stage's 32-row groups, which take the wide noise
+// kernel where the CPU has AVX-512F/DQ, plus a partial tail group.
 TEST(BatchServingBitIdentityTest, SimdLevelInvariant) {
   const std::size_t kLength = 37;  // Odd length: exercises kernel tails.
   auto engine = PrivacyEngine::Create(
                     ModelSpec::ChainClass({Chain({0.6, 0.4})}, kLength))
                     .ValueOrDie();
   const StateSequence data = ServeData(kLength);
-  const BatchQuerySpec batch = AllKindsBatch(0.5);
-
-  const SimdLevel restore = ActiveSimdLevel();
-  SetSimdLevel(SimdLevel::kPortable);
-  const BatchReleaseResult portable =
-      ColumnarResult(engine.get(), batch, data, /*seed=*/31);
-  SetSimdLevel(DetectedSimdLevel());
-  const BatchReleaseResult native =
-      ColumnarResult(engine.get(), batch, data, /*seed=*/31);
-  SetSimdLevel(restore);
-
-  ASSERT_EQ(portable.batch.num_rows(), native.batch.num_rows());
-  ASSERT_EQ(portable.batch.num_values(), native.batch.num_values());
-  for (std::size_t v = 0; v < portable.batch.num_values(); ++v) {
-    EXPECT_TRUE(BitEqual(portable.batch.values()[v], native.batch.values()[v]))
-        << "value " << v;
+  BatchQuerySpec wide;
+  for (int copy = 0; copy < 6; ++copy) {
+    for (const BatchQueryItem& item : AllKindsBatch(0.5).items) {
+      wide.Add(item.spec, item.window);
+    }
   }
-  for (std::size_t r = 0; r < portable.batch.num_rows(); ++r) {
-    EXPECT_TRUE(BitEqual(portable.batch.noise_scales()[r],
-                         native.batch.noise_scales()[r]));
+  for (const BatchQuerySpec& batch : {AllKindsBatch(0.5), wide}) {
+    const SimdLevel restore = ActiveSimdLevel();
+    SetSimdLevel(SimdLevel::kPortable);
+    const BatchReleaseResult portable =
+        ColumnarResult(engine.get(), batch, data, /*seed=*/31);
+    SetSimdLevel(DetectedSimdLevel());
+    const BatchReleaseResult native =
+        ColumnarResult(engine.get(), batch, data, /*seed=*/31);
+    SetSimdLevel(restore);
+
+    ASSERT_EQ(portable.batch.num_rows(), native.batch.num_rows());
+    ASSERT_EQ(portable.batch.num_values(), native.batch.num_values());
+    for (std::size_t v = 0; v < portable.batch.num_values(); ++v) {
+      EXPECT_TRUE(
+          BitEqual(portable.batch.values()[v], native.batch.values()[v]))
+          << batch.size() << " rows, value " << v;
+    }
+    for (std::size_t r = 0; r < portable.batch.num_rows(); ++r) {
+      EXPECT_TRUE(BitEqual(portable.batch.noise_scales()[r],
+                           native.batch.noise_scales()[r]));
+    }
   }
 }
 

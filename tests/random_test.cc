@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <limits>
+#include <vector>
 
 namespace pf {
 namespace {
@@ -64,6 +67,36 @@ TEST(RandomTest, LaplaceInverseCdfFiniteOnOpenInterval) {
   EXPECT_DOUBLE_EQ(LaplaceInverseCdf(0.5, scale), 0.0);
   EXPECT_DOUBLE_EQ(LaplaceInverseCdf(0.25, scale),
                    -LaplaceInverseCdf(0.75, scale));
+}
+
+// LaplaceInverseCdf takes sgn(u - 1/2) with copysign, not a compare (the
+// compare's branch mispredicts on every other draw). Pin it bit for bit to
+// the compare form, signed zeros included: the median u = 1/2 (t = +0
+// counts as positive), both ends, and a stream of generator draws.
+TEST(RandomTest, LaplaceInverseCdfMatchesCompareSignForm) {
+  std::vector<double> draws = {0.5,
+                               std::nextafter(0.5, 0.0),
+                               std::nextafter(0.5, 1.0),
+                               0.0,
+                               std::numeric_limits<double>::denorm_min(),
+                               std::nextafter(1.0, 0.0),
+                               0.25,
+                               0.75};
+  Rng rng(2024);
+  for (int i = 0; i < 100000; ++i) draws.push_back(rng.Uniform());
+  for (const double scale : {0.0, 1.5}) {
+    for (const double u : draws) {
+      const double t = u - 0.5;
+      const double tail = std::max(1.0 - 2.0 * std::fabs(t),
+                                   std::numeric_limits<double>::min());
+      const double expected =
+          -scale * ((t >= 0.0) ? 1.0 : -1.0) * std::log(tail);
+      const double actual = LaplaceInverseCdf(u, scale);
+      ASSERT_EQ(std::memcmp(&expected, &actual, sizeof(double)), 0)
+          << "u = " << u << ", scale = " << scale << ": " << actual
+          << " vs " << expected;
+    }
+  }
 }
 
 TEST(RandomTest, LaplaceDrawsAreAlwaysFinite) {

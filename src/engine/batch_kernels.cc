@@ -335,12 +335,6 @@ void NoiseRowsScalar(double* values, const std::size_t* offsets,
 }
 
 #ifdef PF_SIMD_X86
-bool WideNoiseSupported() {
-  static const bool supported = __builtin_cpu_supports("avx512f") &&
-                                __builtin_cpu_supports("avx512dq");
-  return supported;
-}
-
 // The wide kernel is written with GCC vector extensions, not intrinsics:
 // under target("avx512f,avx512dq") they lower to the same instructions
 // (vpmullq, vpsrlq, vpternlogq, vcvtuqq2pd), while GCC 12's
@@ -442,7 +436,9 @@ void NoiseGroupWide(double* values, const std::size_t* offsets,
 /// Whether full row groups take the wide kernel at the active SimdLevel.
 bool WideNoiseActive() {
 #ifdef PF_SIMD_X86
-  return ActiveSimdLevel() == SimdLevel::kAvx2 && WideNoiseSupported();
+  static const bool supported = __builtin_cpu_supports("avx512f") &&
+                                __builtin_cpu_supports("avx512dq");
+  return ActiveSimdLevel() == SimdLevel::kAvx2 && supported;
 #else
   return false;
 #endif

@@ -1,5 +1,5 @@
 // Hot-path acceptance benches for the arena / SIMD / warm-restart work.
-// Three claims, each measured directly:
+// Four claims, each measured directly:
 //
 //  1. Steady-state streaming appends (ChainMqmAnalysis::ExtendTo) and warm
 //     elimination inferences (FactorConditionalJointInto) perform ZERO
@@ -11,12 +11,16 @@
 //  3. A warm restart (LoadAnalyses from a plan snapshot) replaces the cold
 //     T=1e5 analysis with a file read (compare BM_Restart/warm:1 vs
 //     warm:0).
+//  4. The analysis-cache key of a k-state chain model costs about a
+//     nanosecond per model double (BM_ModelFingerprint, counter
+//     ns_per_word), so a warm restart's first Compile is not spent hashing.
 //
 // CI runs this with --benchmark_format=json --benchmark_out=
 // BENCH_hot_path.json and archives the file.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
@@ -29,6 +33,7 @@
 #include "engine/engine.h"
 #include "graphical/elimination.h"
 #include "graphical/markov_chain.h"
+#include "pufferfish/mechanism.h"
 #include "pufferfish/mqm_exact.h"
 
 // ---------------------------------------------------------------------------
@@ -256,6 +261,31 @@ BENCHMARK(BM_Restart)
     ->Arg(1)
     ->Unit(benchmark::kMillisecond)
     ->Iterations(3);
+
+// ------------------------------------------------ 4. model fingerprints --
+
+// MqmExactUnified::Fingerprint() on a one-theta k-state chain: the
+// analysis-cache key every cold Compile derives (twice, plus the prefix
+// fingerprint on an exact miss). Arg: k. ns_per_word divides the time by
+// the k + k^2 model doubles hashed; compare it with BM_Restart/1, whose
+// first Compile pays these hashes.
+void BM_ModelFingerprint(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  Rng rng(13);
+  const MarkovChain chain =
+      MarkovChain::Make(Vector(k, 1.0 / static_cast<double>(k)),
+                        RandomStochastic(k, &rng))
+          .ValueOrDie();
+  const MqmExactUnified mechanism({chain}, 100000);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) bench::DoNotOptimize(mechanism.Fingerprint());
+  const std::chrono::duration<double, std::nano> elapsed =
+      std::chrono::steady_clock::now() - start;
+  const double words = static_cast<double>(k + k * k);
+  state.counters["ns_per_word"] =
+      elapsed.count() / (words * static_cast<double>(state.iterations()));
+}
+BENCHMARK(BM_ModelFingerprint)->Arg(8)->Arg(32)->Arg(64);
 
 }  // namespace
 }  // namespace pf

@@ -49,6 +49,11 @@ Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::GetOrAnalyze(
   const Key key{mechanism.Fingerprint(), DoubleBits(epsilon),
                 mechanism.kind()};
   if (auto found = TryGetPlan(key)) return found;
+  return AnalyzeAndStore(mechanism, epsilon, key);
+}
+
+Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::AnalyzeAndStore(
+    const Mechanism& mechanism, double epsilon, const Key& key) {
   PF_FAILPOINT("analysis_cache.analyze");
   // Analyze outside the lock: analyses of different keys overlap, and a
   // duplicated analysis of the same key is merely wasted work, not an error.
@@ -85,16 +90,16 @@ std::shared_ptr<const MechanismPlan> AnalysisCache::StorePlan(
 
 Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::GetOrExtend(
     const Mechanism& mechanism, double epsilon) {
-  const std::uint64_t prefix = mechanism.PrefixFingerprint();
-  const std::size_t target_length = mechanism.ExtendableLength();
-  if (prefix == 0 || target_length == 0) {
-    return GetOrAnalyze(mechanism, epsilon);
-  }
   // Exact-key fast path first: a plan for this very length is already the
-  // cheapest answer.
+  // cheapest answer, and a hit never pays for the prefix fingerprint.
   const Key key{mechanism.Fingerprint(), DoubleBits(epsilon),
                 mechanism.kind()};
   if (auto found = TryGetPlan(key)) return found;
+  const std::uint64_t prefix = mechanism.PrefixFingerprint();
+  const std::size_t target_length = mechanism.ExtendableLength();
+  if (prefix == 0 || target_length == 0) {
+    return AnalyzeAndStore(mechanism, epsilon, key);
+  }
   // Exact miss: find (or create) the chain entry for the length-free model
   // at this epsilon. The map lock only covers the lookup; the per-entry
   // lock serializes extensions of one chain without blocking others.

@@ -145,6 +145,11 @@ class AnalysisCache {
   /// returns the cached plan (bumping hit counters) or nullptr.
   std::shared_ptr<const MechanismPlan> TryGetPlan(const Key& key);
 
+  /// The exact-key miss path shared by GetOrAnalyze and GetOrExtend: runs
+  /// mechanism.Analyze(epsilon) and stores the result under `key`.
+  Result<std::shared_ptr<const MechanismPlan>> AnalyzeAndStore(
+      const Mechanism& mechanism, double epsilon, const Key& key);
+
   /// Stores `plan` under the exact key (duplicate-insert race keeps the
   /// incumbent) and returns the stored plan, bumping hit/miss stats.
   std::shared_ptr<const MechanismPlan> StorePlan(

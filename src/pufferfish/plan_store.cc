@@ -17,7 +17,7 @@
 namespace pf {
 namespace {
 
-constexpr char kMagic[8] = {'P', 'F', 'P', 'L', 'A', 'N', '0', '1'};
+constexpr char kMagic[8] = {'P', 'F', 'P', 'L', 'A', 'N', '0', '2'};
 
 std::uint64_t Fnv1a(const char* data, std::size_t n) {
   std::uint64_t h = 0xCBF29CE484222325u;

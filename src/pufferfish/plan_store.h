@@ -7,12 +7,19 @@
 // keys plus the full MechanismPlan — sigma, applicability, and every
 // diagnostic — so a restored plan is bit-identical to the one analyzed.
 //
-// Format "PFPLAN01" (version-tagged, checksummed, fixed-width):
+// Format "PFPLAN02" (version-tagged, checksummed, fixed-width):
 //
-//   bytes 0..7    magic + version tag "PFPLAN01" (ASCII)
+//   bytes 0..7    magic + version tag "PFPLAN02" (ASCII)
 //   u64           entry count
 //   per entry     fingerprint, epsilon_bits, kind, serialized plan
 //   u64           FNV-1a checksum of every preceding byte
+//
+// The fingerprint is Mechanism::Fingerprint() as pf::Fingerprint
+// (common/fingerprint.h) computes it, so the tag names the hasher as well
+// as the layout: "PFPLAN02" keys come from the word-at-a-time hasher.
+// "PFPLAN01" files (same layout, keys from the older byte-at-a-time
+// FNV-1a hasher) are rejected like any other unknown tag; importing them
+// would store plans under keys no mechanism ever matches again.
 //
 // All integers are little-endian u64; doubles are stored as their raw bit
 // patterns, so round-trips are bit-exact (including signed zeros, NaNs,
@@ -38,10 +45,10 @@
 
 namespace pf {
 
-/// Serializes `entries` to the PFPLAN01 wire format (in memory).
+/// Serializes `entries` to the PFPLAN02 wire format (in memory).
 std::string EncodePlanSnapshot(const std::vector<CachedPlan>& entries);
 
-/// \brief Parses a PFPLAN01 snapshot. Rejects (InvalidArgument) bad
+/// \brief Parses a PFPLAN02 snapshot. Rejects (InvalidArgument) bad
 /// magic/version tags, truncation, trailing garbage, and checksum
 /// mismatches; on success every plan carries a fresh zeroed hit counter.
 Result<std::vector<CachedPlan>> DecodePlanSnapshot(const std::string& bytes);

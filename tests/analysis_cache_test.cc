@@ -201,6 +201,43 @@ TEST(AnalysisCacheTest, GetOrExtendFreeInitialAndFallbacks) {
   EXPECT_EQ(a.get(), b.get());
 }
 
+// Counts the cache-key hashes a lookup derives.
+template <typename Base>
+class CountingMechanism : public Base {
+ public:
+  using Base::Base;
+  std::uint64_t Fingerprint() const override {
+    ++fingerprints;
+    return Base::Fingerprint();
+  }
+  std::uint64_t PrefixFingerprint() const override {
+    ++prefixes;
+    return Base::PrefixFingerprint();
+  }
+  mutable int fingerprints = 0;
+  mutable int prefixes = 0;
+};
+
+TEST(AnalysisCacheTest, GetOrExtendHashesTheModelOncePerKey) {
+  AnalysisCache cache;
+  // An exact hit never derives the prefix fingerprint.
+  const CountingMechanism<MqmExactUnified> chain(
+      std::vector<MarkovChain>{TestChain(0.8, 0.7)}, 100);
+  (void)cache.GetOrExtend(chain, 1.0).ValueOrDie();
+  EXPECT_EQ(chain.fingerprints, 1);
+  EXPECT_EQ(chain.prefixes, 1);
+  (void)cache.GetOrExtend(chain, 1.0).ValueOrDie();
+  EXPECT_EQ(chain.fingerprints, 2);
+  EXPECT_EQ(chain.prefixes, 1);
+  // A mechanism without a prefix fingerprint probes the exact key once on
+  // a miss, not once more on its way to the cold analysis.
+  const CountingMechanism<LaplaceDpUnified> laplace(1.0);
+  (void)cache.GetOrExtend(laplace, 1.0).ValueOrDie();
+  EXPECT_EQ(laplace.fingerprints, 1);
+  EXPECT_EQ(cache.stats().hits, 1u);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
 TEST(AnalysisCacheTest, ConcurrentHitsCountExactly) {
   // The hit path bumps the per-plan counter and the stats outside the
   // cache mutex (relaxed atomics); nothing may be lost or double-counted.

@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -145,12 +148,35 @@ TEST(PlanStoreTest, EveryFlippedBitIsRejected) {
   }
 }
 
+// Rewrites the format tag's version digit and re-seals the trailing
+// checksum (FNV-1a over every preceding byte), so the file is valid in
+// every respect except its version.
+std::string WithVersionDigit(std::string bytes, char digit) {
+  bytes[7] = digit;
+  const std::size_t body_size = bytes.size() - 8;
+  std::uint64_t h = 0xCBF29CE484222325u;
+  for (std::size_t i = 0; i < body_size; ++i) {
+    h ^= static_cast<unsigned char>(bytes[i]);
+    h *= 0x100000001B3u;
+  }
+  for (int i = 0; i < 8; ++i) {
+    bytes[body_size + i] = static_cast<char>((h >> (8 * i)) & 0xFFu);
+  }
+  return bytes;
+}
+
 TEST(PlanStoreTest, VersionTagMismatchIsRejected) {
-  std::string bytes = EncodePlanSnapshot(PopulatedCache().ExportPlans());
-  bytes[7] = '9';  // "PFPLAN09": a future format version.
-  const auto r = DecodePlanSnapshot(bytes);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  const std::string bytes =
+      EncodePlanSnapshot(PopulatedCache().ExportPlans());
+  ASSERT_EQ(bytes.substr(0, 8), "PFPLAN02");
+  // "PFPLAN09": a future format version. "PFPLAN01": the previous format,
+  // whose keys came from an older fingerprint hasher; it must start cold,
+  // not import keys that no mechanism matches again.
+  for (const char digit : {'9', '1'}) {
+    const auto r = DecodePlanSnapshot(WithVersionDigit(bytes, digit));
+    ASSERT_FALSE(r.ok()) << "PFPLAN0" << digit << " parsed";
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  }
 }
 
 TEST(PlanStoreTest, TrailingGarbageIsRejected) {
@@ -233,6 +259,37 @@ TEST(PlanStoreTest, CorruptSnapshotLeavesEngineColdButCorrect) {
             DoubleBits(saver->Compile(QuerySpec::Mean(1.0))
                            .ValueOrDie()
                            .plan->sigma));
+  EXPECT_EQ(restored->cache_stats().misses, 1u);
+  std::remove(path.c_str());
+}
+
+TEST(PlanStoreTest, PreviousFormatSnapshotLeavesEngineColdButCorrect) {
+  const std::string path = testing::TempDir() + "/pf_old_format.snapshot";
+  const ModelSpec model = ModelSpec::ChainClass({TestChain(0.8, 0.7)}, 60);
+  auto saver = PrivacyEngine::Create(model).ValueOrDie();
+  const double cold_sigma =
+      saver->Compile(QuerySpec::Mean(1.0)).ValueOrDie().plan->sigma;
+  ASSERT_TRUE(saver->SaveAnalyses(path).ok());
+  // Re-tag the saved file as the previous format, checksum intact.
+  std::string bytes;
+  {
+    std::ifstream in(path, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_FALSE(bytes.empty());
+  std::ofstream(path, std::ios::binary | std::ios::trunc)
+      << WithVersionDigit(bytes, '1');
+  auto restored = PrivacyEngine::Create(model).ValueOrDie();
+  const Result<std::size_t> loaded = restored->LoadAnalyses(path);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("warm-restart load"),
+            std::string::npos)
+      << loaded.status().ToString();
+  const double sigma =
+      restored->Compile(QuerySpec::Mean(1.0)).ValueOrDie().plan->sigma;
+  EXPECT_EQ(DoubleBits(sigma), DoubleBits(cold_sigma));
+  EXPECT_EQ(restored->cache_stats().hits, 0u);
   EXPECT_EQ(restored->cache_stats().misses, 1u);
   std::remove(path.c_str());
 }

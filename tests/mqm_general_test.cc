@@ -203,5 +203,83 @@ TEST(MqmGeneralTest, CanonicalFormsGroupExactlyNotByHashAlone) {
   EXPECT_EQ(analysis.scored_nodes, 3u);  // hub, {s0, s1}, odd.
 }
 
+// ------------------------------------------------ known answers at scale --
+
+// Order-sensitive digest of every node's outcome: influence bits, score
+// bits, and the full active quilt (target, quilt, nearby count, nearby and
+// remote sets).
+std::uint64_t AnalysisDigest(const MqmAnalysis& a) {
+  Fingerprint fp;
+  fp.Add(a.active.size());
+  for (const QuiltScore& qs : a.active) {
+    fp.Add(DoubleBits(qs.influence));
+    fp.Add(DoubleBits(qs.score));
+    fp.Add(qs.quilt.target);
+    for (const std::vector<int>* ids :
+         {&qs.quilt.quilt, &qs.quilt.nearby, &qs.quilt.remote}) {
+      fp.Add(ids->size());
+      for (int v : *ids) fp.Add(v);
+    }
+    fp.Add(qs.quilt.nearby_count);
+  }
+  return fp.hash();
+}
+
+struct KnownAnswer {
+  const char* name;
+  std::vector<BayesianNetwork> thetas;
+  double epsilon;
+  std::uint64_t sigma_bits;
+  std::uint64_t digest;
+  std::size_t scored_nodes;
+  std::size_t induced_width;
+};
+
+// Pinned at a build whose elimination, min-fill and canonicalisation were
+// the straightforward rescans; any exact work-skipping in the analysis
+// plane must reproduce these bits. Each epsilon is large enough that the
+// worst node's active quilt is non-trivial, and the non-dyadic CPTs make
+// the values sensitive to every summation order.
+std::vector<KnownAnswer> KnownAnswers() {
+  std::vector<KnownAnswer> out;
+  out.push_back({"tree127_flip0.25",
+                 {TreeNetwork(127, 2, BinaryRoot(0.4), BinaryNoisyCopyCpt(0.25))
+                      .ValueOrDie()},
+                 2.0, 0x404514f46de56313, 0x2c77af2bdfc157db, 7, 8});
+  out.push_back({"tree127_flip0.1",
+                 {TreeNetwork(127, 2, BinaryRoot(0.4), BinaryNoisyCopyCpt(0.1))
+                      .ValueOrDie()},
+                 5.0, 0x40348a47fa2fd414, 0x5ecf84805714e25a, 7, 8});
+  out.push_back({"grid3x8_nondyadic",
+                 {GridNetwork(3, 8, BinaryRoot(0.3), BinaryNoisyCopyCpt(0.2),
+                              BinaryNoisyOrCpt(0.15))
+                      .ValueOrDie()},
+                 5.0, 0x40127c44351de6d6, 0x520c6d5f095d6d57, 24, 7});
+  out.push_back({"hubspoke6x5",
+                 {HubSpokeNetwork(6, 5, BinaryRoot(0.45), BinaryNoisyCopyCpt(0.2),
+                                  BinaryNoisyCopyCpt(0.3))
+                      .ValueOrDie()},
+                 3.0, 0x4027d45e9c9e2e88, 0x17adba19522c1157, 12, 6});
+  out.push_back({"tree31_two_thetas",
+                 {TreeNetwork(31, 2, BinaryRoot(0.4), BinaryNoisyCopyCpt(0.2))
+                      .ValueOrDie(),
+                  TreeNetwork(31, 2, BinaryRoot(0.6), BinaryNoisyCopyCpt(0.15))
+                      .ValueOrDie()},
+                 5.0, 0x40113e0c2498bb70, 0xcbfd512cb13c1309, 5, 6});
+  return out;
+}
+
+TEST(MqmGeneralKnownAnswerTest, SigmaAndEveryNodeArePinnedBitwise) {
+  for (const KnownAnswer& ka : KnownAnswers()) {
+    const MqmAnalysis analysis =
+        AnalyzeMarkovQuiltMechanism(ka.thetas, ka.epsilon, MqmAnalyzeOptions{})
+            .ValueOrDie();
+    EXPECT_EQ(DoubleBits(analysis.sigma_max), ka.sigma_bits) << ka.name;
+    EXPECT_EQ(AnalysisDigest(analysis), ka.digest) << ka.name;
+    EXPECT_EQ(analysis.scored_nodes, ka.scored_nodes) << ka.name;
+    EXPECT_EQ(analysis.induced_width, ka.induced_width) << ka.name;
+  }
+}
+
 }  // namespace
 }  // namespace pf

@@ -13,17 +13,27 @@
 //                  ISSUE's >= 10x criterion measures against (compare
 //                  Tree/18/... across the two families);
 //  - NoDedup:      elimination with dedup_nodes = false, isolating the
-//                  node-class win from the inference win.
+//                  node-class win from the inference win;
+//  - MinFillOrder: the incremental min-fill order over the whole moral
+//                  graph (the engine's treewidth screen, and the ordering
+//                  every elimination query runs);
+//  - CanonicalizeAllNodes: one canonical basis plus every node's flat
+//                  canonical form — the dedup's phase 1 — with form_kb,
+//                  the heap the forms hold.
 //
 // Counters report sigma, scored-vs-total nodes, the dedup ratio, the
 // observed induced width, and peak factor-table bytes.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "data/topologies.h"
+#include "graphical/elimination.h"
+#include "graphical/moral_graph.h"
 #include "pufferfish/markov_quilt_mechanism.h"
+#include "pufferfish/node_classes.h"
 
 namespace pf {
 namespace {
@@ -165,6 +175,58 @@ BENCHMARK(BM_AnalyzeNoDedup)
     ->ArgNames({"topo", "n"})
     ->Args({kTree, 127})
     ->Args({kGrid, 120})
+    ->Args({kHubSpoke, 250})
+    ->Unit(benchmark::kMillisecond);
+
+// ---- Min-fill ordering of the whole moral graph.
+void BM_MinFillOrder(benchmark::State& state) {
+  const int topology = static_cast<int>(state.range(0));
+  const std::size_t num_nodes = static_cast<std::size_t>(state.range(1));
+  const std::vector<std::vector<int>> adjacency =
+      MoralGraph(MakeNetwork(topology, num_nodes)).adjacency();
+  const std::vector<bool> eliminable(adjacency.size(), true);
+  std::size_t width = 0;
+  for (auto _ : state) {
+    std::vector<int> order = MinFillOrder(adjacency, eliminable, &width);
+    benchmark::DoNotOptimize(order.data());
+  }
+  state.counters["width"] = static_cast<double>(width);
+  state.SetLabel(TopologyName(topology));
+}
+BENCHMARK(BM_MinFillOrder)
+    ->ArgNames({"topo", "n"})
+    ->Args({kTree, 127})
+    ->Args({kGrid, 120})
+    ->Args({kHubSpoke, 250})
+    ->Unit(benchmark::kMicrosecond);
+
+// ---- Node-class phase 1: the basis and every node's canonical form.
+void BM_CanonicalizeAllNodes(benchmark::State& state) {
+  const int topology = static_cast<int>(state.range(0));
+  const std::size_t num_nodes = static_cast<std::size_t>(state.range(1));
+  const std::vector<BayesianNetwork> thetas = {
+      MakeNetwork(topology, num_nodes)};
+  const MoralGraph graph = UnionMoralGraph(thetas);
+  std::size_t form_bytes = 0;
+  for (auto _ : state) {
+    const CanonicalBasis basis(thetas, graph);
+    std::vector<NodeCanonicalForm> forms(graph.num_nodes());
+    for (std::size_t i = 0; i < forms.size(); ++i) {
+      forms[i] = basis.Canonicalize(static_cast<int>(i));
+    }
+    form_bytes = 0;
+    for (const NodeCanonicalForm& form : forms) {
+      form_bytes += form.words.capacity() * sizeof(std::uint64_t) +
+                    form.order.capacity() * sizeof(int);
+    }
+    benchmark::DoNotOptimize(forms.data());
+  }
+  state.counters["form_kb"] = static_cast<double>(form_bytes) / 1024.0;
+  state.SetLabel(TopologyName(topology));
+}
+BENCHMARK(BM_CanonicalizeAllNodes)
+    ->ArgNames({"topo", "n"})
+    ->Args({kTree, 127})
     ->Args({kHubSpoke, 250})
     ->Unit(benchmark::kMillisecond);
 

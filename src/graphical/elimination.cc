@@ -1,10 +1,11 @@
 #include "graphical/elimination.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <cstring>
-#include <limits>
-#include <set>
+#include <functional>
 #include <string>
+#include <utility>
 
 #include "common/arena.h"
 #include "common/deadline.h"
@@ -25,57 +26,157 @@ void EliminationStats::MergeMax(const EliminationStats& other) {
   peak_factor_bytes = std::max(peak_factor_bytes, other.peak_factor_bytes);
 }
 
+namespace {
+
+// Incremental min-fill over sorted neighbor lists. The order is the
+// textbook one — repeatedly remove the eliminable vertex needing the fewest
+// fill-in edges, ties to the smallest id, marrying its neighbors — but a
+// vertex's fill count is recomputed only when it can have changed:
+// eliminating v adds edges only among N(v) and removes only v's own edges,
+// so the fill of u changes only if u's neighbor set changed (u in N(v)) or
+// u is adjacent to an endpoint of a new edge (u in N(N(v))). Every other
+// cached count is still exact, so each step picks the same vertex as a
+// full rescan. The pick itself pops a min-heap of (fill, id) entries —
+// lexicographic, so the smallest fill and then the smallest id wins — and
+// discards entries made stale by a removal or a later recount.
+struct MinFillScratch {
+  std::vector<std::vector<int>> adj;  // Sorted, symmetric, no self-loops.
+  std::vector<char> eliminable;
+  std::vector<char> removed;
+  std::vector<std::size_t> fill;
+  // Vertex stamps: the recount set of one step, then each FillOf's
+  // neighborhood (a fresh stamp per use, so no clearing between uses).
+  std::vector<std::uint32_t> mark;
+  std::uint32_t stamp = 0;
+  std::vector<int> recompute;
+  std::vector<std::pair<std::size_t, int>> heap;  // (fill, id), lazy.
+  std::vector<int> order;
+};
+
+// A fresh stamp; the marks are cleared on wrap-around so a stale mark can
+// never read as current.
+std::uint32_t NextStamp(MinFillScratch& s) {
+  if (++s.stamp == 0) {
+    std::fill(s.mark.begin(), s.mark.end(), 0u);
+    s.stamp = 1;
+  }
+  return s.stamp;
+}
+
+// Fill-in edges needed to eliminate v: pairs of neighbors that are not
+// adjacent, i.e. C(d, 2) minus the edges inside N(v) (each counted once,
+// from its smaller endpoint).
+std::size_t FillOf(MinFillScratch& s, std::size_t v) {
+  const std::vector<int>& nv = s.adj[v];
+  const std::size_t d = nv.size();
+  if (d < 2) return 0;
+  const std::uint32_t stamp = NextStamp(s);
+  for (int w : nv) s.mark[static_cast<std::size_t>(w)] = stamp;
+  std::size_t inside = 0;
+  for (int a : nv) {
+    const std::vector<int>& na = s.adj[static_cast<std::size_t>(a)];
+    for (auto it = std::upper_bound(na.begin(), na.end(), a); it != na.end();
+         ++it) {
+      inside += s.mark[static_cast<std::size_t>(*it)] == stamp;
+    }
+  }
+  return d * (d - 1) / 2 - inside;
+}
+
+void AddSortedEdge(std::vector<int>& v, int x) {
+  const auto it = std::lower_bound(v.begin(), v.end(), x);
+  if (it == v.end() || *it != x) v.insert(it, x);
+}
+
+// Runs min-fill over s.adj[0, n) / s.eliminable[0, n), writing s.order;
+// returns the induced width (max remaining-neighbor count at removal).
+std::size_t RunMinFill(MinFillScratch& s, std::size_t n) {
+  s.removed.assign(n, 0);
+  s.fill.assign(n, 0);
+  s.mark.assign(n, 0);
+  s.stamp = 0;
+  s.order.clear();
+  s.heap.clear();
+  const std::greater<std::pair<std::size_t, int>> later;
+  std::size_t to_remove = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (!s.eliminable[v]) continue;
+    ++to_remove;
+    s.fill[v] = FillOf(s, v);
+    s.heap.emplace_back(s.fill[v], static_cast<int>(v));
+  }
+  std::make_heap(s.heap.begin(), s.heap.end(), later);
+  std::size_t width = 0;
+  for (std::size_t step = 0; step < to_remove; ++step) {
+    // Ties resolve to the smallest id (the heap orders (fill, id)).
+    std::size_t bv = n;
+    while (bv == n) {
+      const auto [fill, v] = s.heap.front();
+      std::pop_heap(s.heap.begin(), s.heap.end(), later);
+      s.heap.pop_back();
+      const std::size_t uv = static_cast<std::size_t>(v);
+      if (!s.removed[uv] && s.fill[uv] == fill) bv = uv;
+    }
+    const int best = static_cast<int>(bv);
+    std::vector<int>& nb = s.adj[bv];
+    width = std::max(width, nb.size());
+    for (std::size_t a = 0; a < nb.size(); ++a) {
+      for (std::size_t b = a + 1; b < nb.size(); ++b) {
+        AddSortedEdge(s.adj[static_cast<std::size_t>(nb[a])], nb[b]);
+        AddSortedEdge(s.adj[static_cast<std::size_t>(nb[b])], nb[a]);
+      }
+    }
+    for (int a : nb) {
+      std::vector<int>& va = s.adj[static_cast<std::size_t>(a)];
+      const auto it = std::lower_bound(va.begin(), va.end(), best);
+      if (it != va.end() && *it == best) va.erase(it);
+    }
+    s.removed[bv] = 1;
+    s.order.push_back(best);
+    // Recompute fill on N(v) u N(N(v)) of the updated graph.
+    const std::uint32_t stamp = NextStamp(s);
+    s.recompute.clear();
+    const auto touch = [&s, stamp](int u) {
+      const std::size_t uu = static_cast<std::size_t>(u);
+      if (s.mark[uu] == stamp) return;
+      s.mark[uu] = stamp;
+      if (s.eliminable[uu] && !s.removed[uu]) s.recompute.push_back(u);
+    };
+    for (int a : nb) {
+      touch(a);
+      for (int w : s.adj[static_cast<std::size_t>(a)]) touch(w);
+    }
+    for (int u : s.recompute) {
+      const std::size_t uu = static_cast<std::size_t>(u);
+      const std::size_t fill = FillOf(s, uu);
+      if (fill == s.fill[uu]) continue;  // Its heap entry is still current.
+      s.fill[uu] = fill;
+      s.heap.emplace_back(fill, u);
+      std::push_heap(s.heap.begin(), s.heap.end(), later);
+    }
+    nb.clear();
+  }
+  return width;
+}
+
+}  // namespace
+
 std::vector<int> MinFillOrder(const std::vector<std::vector<int>>& adjacency,
                               const std::vector<bool>& eliminable,
                               std::size_t* induced_width) {
   const std::size_t n = adjacency.size();
-  std::vector<std::set<int>> adj(n);
+  MinFillScratch s;
+  s.adj.resize(n);
+  s.eliminable.resize(n);
   for (std::size_t v = 0; v < n; ++v) {
     for (int w : adjacency[v]) {
-      if (w != static_cast<int>(v)) adj[v].insert(w);
+      if (w != static_cast<int>(v)) AddSortedEdge(s.adj[v], w);
     }
+    s.eliminable[v] = eliminable[v];
   }
-  std::vector<bool> removed(n, false);
-  std::vector<int> order;
-  std::size_t width = 0;
-  std::size_t to_remove = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (eliminable[v]) ++to_remove;
-  }
-  order.reserve(to_remove);
-  for (std::size_t step = 0; step < to_remove; ++step) {
-    int best = -1;
-    std::size_t best_fill = std::numeric_limits<std::size_t>::max();
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!eliminable[v] || removed[v]) continue;
-      std::size_t fill = 0;
-      for (auto a = adj[v].begin(); a != adj[v].end(); ++a) {
-        auto b = a;
-        for (++b; b != adj[v].end(); ++b) {
-          if (adj[static_cast<std::size_t>(*a)].count(*b) == 0) ++fill;
-        }
-      }
-      if (fill < best_fill) {  // Ties resolve to the smallest id (scan order).
-        best_fill = fill;
-        best = static_cast<int>(v);
-      }
-    }
-    const std::size_t bv = static_cast<std::size_t>(best);
-    width = std::max(width, adj[bv].size());
-    for (auto a = adj[bv].begin(); a != adj[bv].end(); ++a) {
-      auto b = a;
-      for (++b; b != adj[bv].end(); ++b) {
-        adj[static_cast<std::size_t>(*a)].insert(*b);
-        adj[static_cast<std::size_t>(*b)].insert(*a);
-      }
-    }
-    for (int a : adj[bv]) adj[static_cast<std::size_t>(a)].erase(best);
-    adj[bv].clear();
-    removed[bv] = true;
-    order.push_back(best);
-  }
+  const std::size_t width = RunMinFill(s, n);
   if (induced_width != nullptr) *induced_width = width;
-  return order;
+  return std::move(s.order);
 }
 
 std::size_t MinFillWidth(const std::vector<std::vector<int>>& adjacency) {
@@ -205,25 +306,23 @@ struct WorkFactor {
   std::vector<int> arity;
   const double* values = nullptr;
   std::size_t size = 0;
+  // In the working set: not yet absorbed into an elimination product.
+  bool alive = false;
 
-  bool Contains(int var) const {
-    return std::find(scope.begin(), scope.end(), var) != scope.end();
-  }
   std::size_t bytes() const { return size * sizeof(double); }
 };
 
 struct EliminationWorkspace {
   Arena arena{1u << 16};
-  // Index-stable factor pool; [0, used) are live this query.
+  // Index-stable factor pool; [0, used) are this query's factors, and the
+  // alive ones among them are the working set.
   std::vector<WorkFactor> pool;
   std::size_t used = 0;
-  std::vector<std::size_t> working;  // Pool indices of the working set.
-  // Min-fill scratch: sorted neighbor lists (the pooled equivalent of the
-  // std::set-based public MinFillOrder, identical tie rules and order).
-  std::vector<std::vector<int>> adj;
-  std::vector<char> removed;
-  std::vector<char> eliminable;
-  std::vector<int> order;
+  // by_var[v]: pool indices of the factors whose scope holds v, ascending
+  // (alive or not — readers skip the absorbed ones).
+  std::vector<std::vector<std::size_t>> by_var;
+  std::vector<std::size_t> hits;  // Alive factors holding the current var.
+  MinFillScratch min_fill;
   // Query scratch.
   std::vector<int> pinned;
   std::vector<int> free_targets, free_arity;
@@ -240,6 +339,13 @@ EliminationWorkspace& TlsWorkspace() {
   return ws;
 }
 
+// Working-set order invariant: the working set is always the alive pool
+// entries in ascending pool index. The input factors are acquired in input
+// order, and every merged factor is acquired after all of its inputs, so it
+// takes the largest index so far — exactly where the historical rebuild
+// (keep the survivors in order, append the product) put it. Hence scanning
+// by_var[v] in order yields the factors holding v in working-set order,
+// and every product sees its operands in the historical order.
 std::size_t AcquireWorkFactor(EliminationWorkspace& ws) {
   if (ws.used == ws.pool.size()) ws.pool.emplace_back();
   WorkFactor& f = ws.pool[ws.used];
@@ -247,67 +353,22 @@ std::size_t AcquireWorkFactor(EliminationWorkspace& ws) {
   f.arity.clear();
   f.values = nullptr;
   f.size = 0;
+  f.alive = true;
   return ws.used++;
 }
 
-// Min-fill order over ws.adj (sorted vectors), writing into ws.order.
-// Replicates the public std::set-based MinFillOrder step for step — same
-// fill counts, same smallest-id tie rule, same marrying — so the
-// elimination order (and therefore every table) is unchanged.
-void MinFillOrderPooled(EliminationWorkspace& ws, std::size_t n) {
-  ws.removed.assign(n, 0);
-  ws.order.clear();
-  auto contains = [](const std::vector<int>& v, int x) {
-    return std::binary_search(v.begin(), v.end(), x);
-  };
-  auto add_edge = [](std::vector<int>& v, int x) {
-    const auto it = std::lower_bound(v.begin(), v.end(), x);
-    if (it == v.end() || *it != x) v.insert(it, x);
-  };
-  std::size_t to_remove = 0;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (ws.eliminable[v]) ++to_remove;
-  }
-  for (std::size_t step = 0; step < to_remove; ++step) {
-    int best = -1;
-    std::size_t best_fill = std::numeric_limits<std::size_t>::max();
-    for (std::size_t v = 0; v < n; ++v) {
-      if (!ws.eliminable[v] || ws.removed[v]) continue;
-      const std::vector<int>& nv = ws.adj[v];
-      std::size_t fill = 0;
-      for (std::size_t a = 0; a < nv.size(); ++a) {
-        for (std::size_t b = a + 1; b < nv.size(); ++b) {
-          if (!contains(ws.adj[static_cast<std::size_t>(nv[a])], nv[b])) ++fill;
-        }
-      }
-      if (fill < best_fill) {  // Ties resolve to the smallest id (scan order).
-        best_fill = fill;
-        best = static_cast<int>(v);
-      }
-    }
-    const std::size_t bv = static_cast<std::size_t>(best);
-    std::vector<int>& nb = ws.adj[bv];
-    for (std::size_t a = 0; a < nb.size(); ++a) {
-      for (std::size_t b = a + 1; b < nb.size(); ++b) {
-        add_edge(ws.adj[static_cast<std::size_t>(nb[a])], nb[b]);
-        add_edge(ws.adj[static_cast<std::size_t>(nb[b])], nb[a]);
-      }
-    }
-    for (int a : nb) {
-      std::vector<int>& va = ws.adj[static_cast<std::size_t>(a)];
-      const auto it = std::lower_bound(va.begin(), va.end(), best);
-      if (it != va.end() && *it == best) va.erase(it);
-    }
-    nb.clear();
-    ws.removed[bv] = 1;
-    ws.order.push_back(best);
+// Enters an alive factor into the per-variable lists.
+void IndexWorkFactor(EliminationWorkspace& ws, std::size_t gi) {
+  for (int v : ws.pool[gi].scope) {
+    ws.by_var[static_cast<std::size_t>(v)].push_back(gi);
   }
 }
 
-// One elimination step: multiplies every working factor containing `var`
-// and sums `var` out into a fresh pool factor (table in the arena),
-// returning its pool index. Pairs of 2-variable factors (the dominant
-// shape on chains and trees) route through the blocked matrix kernel.
+// One elimination step: multiplies the working factors containing `var`
+// (ws.hits, in working-set order) and sums `var` out into a fresh pool
+// factor (table in the arena), returning its pool index. Pairs of
+// 2-variable factors (the dominant shape on chains and trees) route
+// through the blocked matrix kernel.
 Result<std::size_t> EliminateVarPooled(EliminationWorkspace& ws, int var,
                                        std::size_t limit,
                                        std::size_t live_bytes,
@@ -316,9 +377,8 @@ Result<std::size_t> EliminateVarPooled(EliminationWorkspace& ws, int var,
   ws.combined_scope.clear();
   ws.combined_arity.clear();
   int var_arity = 0;
-  for (const std::size_t wi : ws.working) {
+  for (const std::size_t wi : ws.hits) {
     const WorkFactor& f = ws.pool[wi];
-    if (!f.Contains(var)) continue;
     FactorView view;
     view.scope = f.scope.data();
     view.arity = f.arity.data();
@@ -421,7 +481,6 @@ Status EliminationConditionalJointInto(
   EliminationWorkspace& ws = TlsWorkspace();
   ws.arena.Reset();
   ws.used = 0;
-  ws.working.clear();
   // Pin evidence: reduce it out of every factor up front. Conflicting
   // duplicate pairs pin the same variable to two values — no assignment
   // matches, which is exactly the zero-probability-evidence condition the
@@ -463,7 +522,6 @@ Status EliminationConditionalJointInto(
       g.scope.erase(g.scope.begin() + static_cast<std::ptrdiff_t>(pos));
       g.arity.erase(g.arity.begin() + static_cast<std::ptrdiff_t>(pos));
     }
-    ws.working.push_back(gi);
   }
   // Free targets: distinct target variables that the evidence did not pin,
   // in first-occurrence order (the output expansion restores duplicates
@@ -478,57 +536,56 @@ Status EliminationConditionalJointInto(
     ws.free_targets.push_back(t);
     ws.free_arity.push_back(arities[tv]);
   }
-  // Interaction graph of the reduced factor scopes (sorted neighbor
-  // lists — the same ascending order the historical std::set build gave).
-  if (ws.adj.size() < n) ws.adj.resize(n);
-  for (std::size_t v = 0; v < n; ++v) ws.adj[v].clear();
-  ws.eliminable.assign(n, 0);
-  const auto add_edge = [&ws](int a, int b) {
-    std::vector<int>& v = ws.adj[static_cast<std::size_t>(a)];
-    const auto it = std::lower_bound(v.begin(), v.end(), b);
-    if (it == v.end() || *it != b) v.insert(it, b);
-  };
-  for (const std::size_t wi : ws.working) {
-    const WorkFactor& f = ws.pool[wi];
+  // One pass over the reduced factors: the interaction graph of their
+  // scopes (sorted neighbor lists), the per-variable factor lists, and the
+  // live table bytes.
+  MinFillScratch& mf = ws.min_fill;
+  if (mf.adj.size() < n) mf.adj.resize(n);
+  if (ws.by_var.size() < n) ws.by_var.resize(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    mf.adj[v].clear();
+    ws.by_var[v].clear();
+  }
+  mf.eliminable.assign(n, 0);
+  std::size_t live_bytes = 0;
+  for (std::size_t gi = 0; gi < ws.used; ++gi) {
+    const WorkFactor& f = ws.pool[gi];
     for (std::size_t a = 0; a < f.scope.size(); ++a) {
       for (std::size_t b = a + 1; b < f.scope.size(); ++b) {
-        add_edge(f.scope[a], f.scope[b]);
-        add_edge(f.scope[b], f.scope[a]);
+        AddSortedEdge(mf.adj[static_cast<std::size_t>(f.scope[a])], f.scope[b]);
+        AddSortedEdge(mf.adj[static_cast<std::size_t>(f.scope[b])], f.scope[a]);
       }
     }
+    IndexWorkFactor(ws, gi);
+    live_bytes += f.bytes();
   }
   for (std::size_t v = 0; v < n; ++v) {
-    ws.eliminable[v] = ws.pinned[v] < 0 && !ws.is_free[v];
+    mf.eliminable[v] = ws.pinned[v] < 0 && !ws.is_free[v];
   }
-  MinFillOrderPooled(ws, n);
-  std::size_t live_bytes = 0;
-  for (const std::size_t wi : ws.working) live_bytes += ws.pool[wi].bytes();
+  RunMinFill(mf, n);
   if (stats != nullptr) {
     stats->peak_factor_bytes = std::max(stats->peak_factor_bytes, live_bytes);
   }
-  for (const int var : ws.order) {
+  for (const int var : mf.order) {
     // Each EliminateVarPooled is up to O(k^width) — the dominant cost on
     // high-width networks — so the cancellation checkpoint sits per
     // variable, bounding a deadline overrun to one elimination step.
     PF_RETURN_NOT_OK(CheckDeadline("variable elimination"));
-    bool present = false;
-    for (const std::size_t wi : ws.working) {
-      present = present || ws.pool[wi].Contains(var);
+    ws.hits.clear();
+    for (const std::size_t wi : ws.by_var[static_cast<std::size_t>(var)]) {
+      if (ws.pool[wi].alive) ws.hits.push_back(wi);
     }
-    if (!present) continue;  // Reduced away or never in a scope.
+    if (ws.hits.empty()) continue;  // Reduced away or never in a scope.
     PF_ASSIGN_OR_RETURN(const std::size_t merged,
                         EliminateVarPooled(ws, var, limit, live_bytes, stats));
-    // Keep the non-absorbed factors in order, append the merged one — the
-    // same working-set order as the historical rebuild.
-    ws.working.erase(
-        std::remove_if(ws.working.begin(), ws.working.end(),
-                       [&ws, var](std::size_t wi) {
-                         return ws.pool[wi].Contains(var);
-                       }),
-        ws.working.end());
-    ws.working.push_back(merged);
-    live_bytes = 0;
-    for (const std::size_t wi : ws.working) live_bytes += ws.pool[wi].bytes();
+    // The absorbed factors leave the working set; the product joins it at
+    // the end (see AcquireWorkFactor).
+    for (const std::size_t wi : ws.hits) {
+      ws.pool[wi].alive = false;
+      live_bytes -= ws.pool[wi].bytes();
+    }
+    IndexWorkFactor(ws, merged);
+    live_bytes += ws.pool[merged].bytes();
     if (stats != nullptr) {
       stats->peak_factor_bytes =
           std::max(stats->peak_factor_bytes, live_bytes);
@@ -536,7 +593,8 @@ Status EliminationConditionalJointInto(
   }
   // Every remaining scope variable is a free target; their product is the
   // unnormalized conditional joint.
-  for (const std::size_t wi : ws.working) {
+  for (std::size_t wi = 0; wi < ws.used; ++wi) {
+    if (!ws.pool[wi].alive) continue;
     for (int v : ws.pool[wi].scope) {
       if (!ws.is_free[static_cast<std::size_t>(v)]) {
         return Status::Internal("variable survived elimination unexpectedly");
@@ -549,8 +607,9 @@ Status EliminationConditionalJointInto(
   for (int a : ws.free_arity) joint_cells *= static_cast<std::size_t>(a);
   double* joint = ws.arena.AllocDoubles(joint_cells);
   ws.views.clear();
-  for (const std::size_t wi : ws.working) {
+  for (std::size_t wi = 0; wi < ws.used; ++wi) {
     const WorkFactor& f = ws.pool[wi];
+    if (!f.alive) continue;
     FactorView view;
     view.scope = f.scope.data();
     view.arity = f.arity.data();

@@ -51,13 +51,22 @@ struct EliminationStats {
   void MergeMax(const EliminationStats& other);
 };
 
-/// \brief Min-fill elimination order over an undirected interaction graph:
+/// \brief Min-fill elimination order over an undirected interaction graph
+/// (`adjacency` symmetric; self-loops and repeats are ignored):
 /// repeatedly removes the eliminable vertex whose neighborhood needs the
 /// fewest fill-in edges (ties to the smallest vertex id — fully
 /// deterministic), marrying its remaining neighbors. Vertices with
 /// `eliminable[v] == false` (query targets) are never removed but keep
 /// participating as neighbors. Returns the order; `induced_width` (if
 /// non-null) receives the max remaining-neighbor count at removal time.
+///
+/// Incremental: fill counts are cached per vertex and, after each
+/// removal of v, recounted only on N(v) u N(N(v)) — the only vertices
+/// whose count the removal can change — so the order is the one a full
+/// rescan per step gives, with the same (fill, smallest id) tie rule.
+/// This is the one min-fill in the library: the elimination backend runs
+/// it per query on the reduced factor graph, MinFillWidth on the whole
+/// moral graph.
 std::vector<int> MinFillOrder(const std::vector<std::vector<int>>& adjacency,
                               const std::vector<bool>& eliminable,
                               std::size_t* induced_width);

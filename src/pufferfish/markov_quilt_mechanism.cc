@@ -119,12 +119,12 @@ struct CanonicalScore {
   EliminationStats stats;
 };
 
-Result<CanonicalScore> ScoreCanonical(const NodeCanonicalForm& form,
+Result<CanonicalScore> ScoreCanonical(const CanonicalProblem& problem,
                                       double epsilon,
                                       const MqmAnalyzeOptions& options,
                                       QuiltSearchMode search,
                                       InferenceBackend backend) {
-  const MoralGraph graph(form.adjacency);
+  const MoralGraph graph(problem.adjacency);
   const std::vector<MarkovQuilt> candidates =
       search == QuiltSearchMode::kExhaustive
           ? EnumerateQuilts(graph, /*target=*/0, options.max_quilt_size)
@@ -132,7 +132,7 @@ Result<CanonicalScore> ScoreCanonical(const NodeCanonicalForm& form,
   CanonicalScore out;
   PF_ASSIGN_OR_RETURN(
       out.best,
-      ScoreNodeFactors(form.factors, form.arities, epsilon, candidates,
+      ScoreNodeFactors(problem.factors, problem.arities, epsilon, candidates,
                        options.enumeration_limit, backend, &out.stats));
   return out;
 }
@@ -330,11 +330,14 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
       !thetas.front().NumAssignments(options.enumeration_limit).ok()) {
     return EnumerationGuardError(options.enumeration_limit);
   }
-  // Phase 1: every node's canonical rooted form — pure per node, so the
-  // construction fans out.
+  // One pool serves both parallel phases.
+  ThreadPool pool(options.num_threads);
+  // Phase 1: every node's canonical rooted form — pure per node given the
+  // shared root-independent basis, so the construction fans out.
+  const CanonicalBasis basis(thetas, graph);
   std::vector<NodeCanonicalForm> forms(n);
-  ParallelFor(options.num_threads, n, [&](std::size_t i) {
-    forms[i] = CanonicalizeNode(thetas, graph, static_cast<int>(i));
+  pool.ParallelFor(n, [&](std::size_t i) {
+    forms[i] = basis.Canonicalize(static_cast<int>(i));
   });
   // Phase 2: group nodes into classes, sequentially (deterministic class
   // ids and representatives for every thread count). The hash only routes
@@ -360,16 +363,17 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
     }
     class_of[i] = cls;
   }
-  // Phase 3: score one representative per class, in parallel.
+  // Phase 3: score one representative per class, in parallel; only the
+  // representatives' forms are decoded into factor lists.
   const std::size_t arena_blocks_before = Arena::TotalBlockAllocations();
   const std::size_t num_classes = representative.size();
   std::vector<Result<CanonicalScore>> scored(
       num_classes, Status::Internal("not computed"));
   std::atomic<bool> failed{false};
-  ParallelFor(options.num_threads, num_classes, [&](std::size_t c) {
+  pool.ParallelFor(num_classes, [&](std::size_t c) {
     if (failed.load(std::memory_order_relaxed)) return;
-    scored[c] = ScoreCanonical(forms[representative[c]], epsilon, options,
-                               search, backend);
+    scored[c] = ScoreCanonical(DecodeCanonicalProblem(forms[representative[c]]),
+                               epsilon, options, search, backend);
     if (!scored[c].ok()) failed.store(true, std::memory_order_relaxed);
   });
   PF_RETURN_NOT_OK(FirstRealError(scored));

@@ -526,6 +526,19 @@ MarkovQuilt MaterializeQuilt(const QuiltCand& cand, int node,
 // (node value, dl = min(i, ell), dr = min(length-1-i, ell)): every loop
 // bound below reduces to dl/dr arithmetic, which is the invariant the
 // dedup classes and the append path both rely on.
+//
+// Bounded scan (exact, not a heuristic): every influence is >= 0 —
+// MaxOverPairs and RightOnly start their max at 0.0 and NaN terms are
+// skipped — so a quilt with c nearby nodes scores at least
+// QuiltScoreFromInfluence(c, epsilon, 0.0) = c / epsilon. That bound holds
+// as computed, not just in real arithmetic: IEEE subtraction and division
+// round monotonically, so epsilon - influence <= epsilon and c / (a
+// smaller positive denominator) >= c / epsilon. Within each of the three
+// loops below the nearby count strictly grows along the inner index, and
+// so does the bound; once it is >= the best score so far, neither this
+// quilt nor any later one in the loop can pass the strict `<`, and the
+// loop breaks before evaluating it. The enumeration order is unchanged, so
+// the winner (and the tie rule) are bit-identical to the full scan.
 NodeScore ScoreNode(const ExactEvaluator& eval, std::size_t length,
                     const ExactEvaluator::NodeContext& ctx, double epsilon,
                     std::size_t max_nearby) {
@@ -544,13 +557,18 @@ NodeScore ScoreNode(const ExactEvaluator& eval, std::size_t length,
       out.nontrivial.score = score;
     }
   };
+  // True when no quilt with this many (or more) nearby nodes can win.
+  const auto cannot_win = [&](std::size_t nearby_count) {
+    return QuiltScoreFromInfluence(nearby_count, epsilon, 0.0) >=
+           out.nontrivial.score;
+  };
   // Two-sided quilts {X_{i-a}, X_{i+b}}: nearby count a + b - 1.
   for (int a = 1; a <= node; ++a) {
     if (static_cast<std::size_t>(a) > max_nearby) break;
     for (int b = 1; node + b < n; ++b) {
-      if (static_cast<std::size_t>(a + b - 1) > max_nearby) break;
-      consider(a, b, static_cast<std::size_t>(a + b - 1),
-               eval.TwoSided(ctx, a, b));
+      const std::size_t near_count = static_cast<std::size_t>(a + b - 1);
+      if (near_count > max_nearby || cannot_win(near_count)) break;
+      consider(a, b, near_count, eval.TwoSided(ctx, a, b));
     }
   }
   // Left-only quilts {X_{i-a}}: nearby count (n-1) - (i-a), strictly
@@ -558,13 +576,13 @@ NodeScore ScoreNode(const ExactEvaluator& eval, std::size_t length,
   // and order as ChainQuiltFamily's skip).
   for (int a = 1; a <= node; ++a) {
     const std::size_t near_count = static_cast<std::size_t>(n - 1 - (node - a));
-    if (near_count > max_nearby) break;
+    if (near_count > max_nearby || cannot_win(near_count)) break;
     consider(a, 0, near_count, eval.LeftOnly(ctx, a));
   }
   // Right-only quilts {X_{i+b}}: nearby count i + b.
   for (int b = 1; node + b < n; ++b) {
     const std::size_t near_count = static_cast<std::size_t>(node + b);
-    if (near_count > max_nearby) break;
+    if (near_count > max_nearby || cannot_win(near_count)) break;
     consider(0, b, near_count, eval.RightOnly(ctx, b));
   }
   return out;

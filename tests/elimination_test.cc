@@ -4,6 +4,10 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <set>
+#include <string>
+#include <utility>
 
 #include "common/random.h"
 #include "data/topologies.h"
@@ -87,6 +91,120 @@ TEST(MinFillTest, OrderIsDeterministicAndSkipsProtectedVertices) {
       MinFillOrder(triangle, {true, false, true}, nullptr);
   EXPECT_EQ(keep1.size(), 2u);
   for (int v : keep1) EXPECT_NE(v, 1);
+}
+
+// The pre-incremental min-fill, kept verbatim as the reference: rescans
+// every vertex's fill over std::set neighborhoods at every step.
+std::vector<int> ReferenceMinFillOrder(
+    const std::vector<std::vector<int>>& adjacency,
+    const std::vector<bool>& eliminable, std::size_t* induced_width) {
+  const std::size_t n = adjacency.size();
+  std::vector<std::set<int>> adj(n);
+  for (std::size_t v = 0; v < n; ++v) {
+    for (int w : adjacency[v]) {
+      if (w != static_cast<int>(v)) adj[v].insert(w);
+    }
+  }
+  std::vector<bool> removed(n, false);
+  std::vector<int> order;
+  std::size_t width = 0;
+  std::size_t to_remove = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    if (eliminable[v]) ++to_remove;
+  }
+  for (std::size_t step = 0; step < to_remove; ++step) {
+    int best = -1;
+    std::size_t best_fill = std::numeric_limits<std::size_t>::max();
+    for (std::size_t v = 0; v < n; ++v) {
+      if (!eliminable[v] || removed[v]) continue;
+      std::size_t fill = 0;
+      for (auto a = adj[v].begin(); a != adj[v].end(); ++a) {
+        auto b = a;
+        for (++b; b != adj[v].end(); ++b) {
+          if (adj[static_cast<std::size_t>(*a)].count(*b) == 0) ++fill;
+        }
+      }
+      if (fill < best_fill) {
+        best_fill = fill;
+        best = static_cast<int>(v);
+      }
+    }
+    const std::size_t bv = static_cast<std::size_t>(best);
+    width = std::max(width, adj[bv].size());
+    for (auto a = adj[bv].begin(); a != adj[bv].end(); ++a) {
+      auto b = a;
+      for (++b; b != adj[bv].end(); ++b) {
+        adj[static_cast<std::size_t>(*a)].insert(*b);
+        adj[static_cast<std::size_t>(*b)].insert(*a);
+      }
+    }
+    for (int a : adj[bv]) adj[static_cast<std::size_t>(a)].erase(best);
+    adj[bv].clear();
+    removed[bv] = true;
+    order.push_back(best);
+  }
+  if (induced_width != nullptr) *induced_width = width;
+  return order;
+}
+
+void ExpectSameMinFill(const std::vector<std::vector<int>>& adjacency,
+                       const std::vector<bool>& eliminable,
+                       const std::string& what) {
+  std::size_t width = 0;
+  std::size_t ref_width = 0;
+  EXPECT_EQ(MinFillOrder(adjacency, eliminable, &width),
+            ReferenceMinFillOrder(adjacency, eliminable, &ref_width))
+      << what;
+  EXPECT_EQ(width, ref_width) << what;
+}
+
+TEST(MinFillTest, IncrementalMatchesFullRescanOnBenchTopologies) {
+  const Vector root = {0.5, 0.5};
+  const Matrix edge = BinaryNoisyCopyCpt(0.25);
+  const Matrix merge = BinaryNoisyOrCpt(0.25);
+  const std::vector<std::pair<std::string, BayesianNetwork>> nets = {
+      {"tree127", TreeNetwork(127, 2, root, edge).ValueOrDie()},
+      {"grid3x40", GridNetwork(3, 40, root, edge, merge).ValueOrDie()},
+      {"hub250", HubSpokeNetwork(50, 4, root, edge, edge).ValueOrDie()},
+  };
+  for (const auto& [name, bn] : nets) {
+    const std::vector<std::vector<int>> adj = MoralGraph(bn).adjacency();
+    const std::vector<bool> all(adj.size(), true);
+    ExpectSameMinFill(adj, all, name);
+    std::size_t ref_width = 0;
+    ReferenceMinFillOrder(adj, all, &ref_width);
+    EXPECT_EQ(MinFillWidth(adj), ref_width) << name;
+    // The elimination queries keep a target and pin an evidence variable.
+    std::vector<bool> query(adj.size(), true);
+    query[0] = false;
+    query[adj.size() / 2] = false;
+    ExpectSameMinFill(adj, query, name + " with protected vertices");
+  }
+}
+
+TEST(MinFillTest, IncrementalMatchesFullRescanOnRandomGraphs) {
+  // Small dense-ish random graphs: fill counts collide constantly, so the
+  // smallest-id tie rule decides most steps.
+  Rng rng(7);
+  for (int trial = 0; trial < 200; ++trial) {
+    const std::size_t n = 2 + rng.UniformInt(30);
+    const double p = 0.05 + 0.5 * rng.Uniform();
+    std::vector<std::vector<int>> adj(n);
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = a + 1; b < n; ++b) {
+        if (rng.Uniform() < p) {
+          adj[a].push_back(static_cast<int>(b));
+          adj[b].push_back(static_cast<int>(a));
+        }
+      }
+    }
+    const std::string what = "trial " + std::to_string(trial);
+    ExpectSameMinFill(adj, std::vector<bool>(n, true), what);
+    // A random non-eliminable subset (targets and evidence).
+    std::vector<bool> eliminable(n);
+    for (std::size_t v = 0; v < n; ++v) eliminable[v] = rng.Uniform() < 0.7;
+    ExpectSameMinFill(adj, eliminable, what + " subset");
+  }
 }
 
 // ------------------------------- elimination vs enumeration (property) ----

@@ -3,6 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <string>
+
+#include "common/fingerprint.h"
+#include "common/random.h"
+#include "graphical/markov_quilt.h"
+#include "pufferfish/markov_quilt_mechanism.h"
 
 namespace pf {
 namespace {
@@ -307,6 +314,149 @@ TEST(MqmExactDedupTest, FreeInitialLadderMemoryIsLengthIndependent) {
           .memory.peak_bytes;
   EXPECT_GT(short_bytes, 0u);
   EXPECT_EQ(short_bytes, long_bytes);
+}
+
+// ------------------------------------------- bounded scan vs brute force --
+//
+// ScoreNode stops a quilt loop once nearby / epsilon (the score at
+// influence 0, a lower bound on every later quilt in the loop) reaches
+// the best score so far. The reference below scores EVERY quilt of the
+// Lemma 4.6 family, one at a time through the public single-quilt entry
+// point, with the analysis's tie rules: the family in ChainQuiltFamily
+// order, strict < per node with the trivial quilt last, strict > across
+// nodes. The analysis must match it bit for bit.
+
+struct BruteForce {
+  double sigma_max = 0.0;
+  int worst_node = -1;
+  MarkovQuilt quilt;
+  double influence = 0.0;
+  bool trivial_wins_worst = false;
+};
+
+BruteForce BruteForceScan(const MarkovChain& chain, std::size_t length,
+                          double epsilon, std::size_t max_nearby) {
+  BruteForce out;
+  for (int i = 0; i < static_cast<int>(length); ++i) {
+    // The trivial quilt comes last and always scores T / epsilon < inf, so
+    // strict < from +inf always picks a quilt.
+    double best = std::numeric_limits<double>::infinity();
+    MarkovQuilt best_quilt;
+    double best_influence = 0.0;
+    for (const MarkovQuilt& q : ChainQuiltFamily(length, i, max_nearby)) {
+      const double e =
+          ChainQuiltInfluenceExact(chain, length, q).ValueOrDie();
+      const double score = QuiltScoreFromInfluence(q.NearbyCount(), epsilon, e);
+      if (score < best) {
+        best = score;
+        best_quilt = q;
+        best_influence = e;
+      }
+    }
+    if (out.worst_node < 0 || best > out.sigma_max) {
+      out.sigma_max = best;
+      out.worst_node = i;
+      out.quilt = best_quilt;
+      out.influence = best_influence;
+      out.trivial_wins_worst = best_quilt.quilt.empty();
+    }
+  }
+  return out;
+}
+
+// Row-stochastic k x k matrix: entries floor / k + U[0, 1), normalised.
+Matrix RandomTransition(std::size_t k, double floor, Rng* rng) {
+  Matrix p(k, k);
+  for (std::size_t r = 0; r < k; ++r) {
+    double sum = 0.0;
+    for (std::size_t c = 0; c < k; ++c) {
+      p(r, c) = floor / static_cast<double>(k) + rng->Uniform();
+      sum += p(r, c);
+    }
+    for (std::size_t c = 0; c < k; ++c) p(r, c) /= sum;
+  }
+  return p;
+}
+
+Vector RandomDistribution(std::size_t k, Rng* rng) {
+  Vector q(k);
+  double sum = 0.0;
+  for (double& v : q) {
+    v = 0.1 + rng->Uniform();
+    sum += v;
+  }
+  for (double& v : q) v /= sum;
+  return q;
+}
+
+TEST(MqmExactBoundTest, MatchesBruteForceBitForBit) {
+  // Per chain: an epsilon small enough that, with ell = 4, every
+  // non-trivial quilt is too influential, so the trivial quilt wins at the
+  // worst node (with ell = 12 the fast-mixing chains find a far quilt that
+  // beats it); one in between; and one large enough that a non-trivial
+  // quilt wins there.
+  struct Case {
+    MarkovChain chain;
+    double trivial_eps, middle_eps, nontrivial_eps;
+  };
+  std::vector<Case> cases;
+  Rng rng(20170514);
+  for (std::size_t k : {2u, 3u, 4u}) {
+    cases.push_back({MarkovChain::Make(RandomDistribution(k, &rng),
+                                       RandomTransition(k, 0.5, &rng))
+                         .ValueOrDie(),
+                     0.05, 1.0, 4.0});
+  }
+  // Sticky: long-range dependence, so the winning quilts sit far out.
+  cases.push_back({MarkovChain::Make({0.7, 0.3},
+                                     Matrix{{0.96, 0.04}, {0.03, 0.97}})
+                       .ValueOrDie(),
+                   0.05, 4.0, 12.0});
+  for (const Case& c : cases) {
+    for (std::size_t length : {9u, 23u, 40u}) {
+      for (std::size_t max_nearby : {4u, 12u}) {
+        // The three anchors plus a sweep: the bound only prunes a quilt
+        // when the best score so far lies within about 1/epsilon of its
+        // nearby count / epsilon, so a pruning rule that is off by one
+        // nearby node shows only at some epsilons.
+        std::vector<double> epsilons = {c.trivial_eps, c.middle_eps,
+                                        c.nontrivial_eps};
+        for (double e = 0.2; e < 16.0; e *= 1.4) epsilons.push_back(e);
+        for (double epsilon : epsilons) {
+          const std::string where =
+              "k=" + std::to_string(c.chain.num_states()) +
+              " T=" + std::to_string(length) +
+              " ell=" + std::to_string(max_nearby) +
+              " eps=" + std::to_string(epsilon);
+          const BruteForce ref =
+              BruteForceScan(c.chain, length, epsilon, max_nearby);
+          if (epsilon == c.trivial_eps && max_nearby == 4) {
+            EXPECT_TRUE(ref.trivial_wins_worst) << where;
+          }
+          if (epsilon == c.nontrivial_eps) {
+            EXPECT_FALSE(ref.trivial_wins_worst) << where;
+          }
+          for (bool dedup : {true, false}) {
+            ChainMqmOptions options;
+            options.epsilon = epsilon;
+            options.max_nearby = max_nearby;
+            options.allow_stationary_shortcut = false;
+            options.dedup_nodes = dedup;
+            options.num_threads = 1;
+            const ChainMqmResult r =
+                MqmExactAnalyze({c.chain}, length, options).ValueOrDie();
+            const std::string at = where + " dedup=" + std::to_string(dedup);
+            EXPECT_EQ(DoubleBits(r.sigma_max), DoubleBits(ref.sigma_max)) << at;
+            EXPECT_EQ(r.worst_node, ref.worst_node) << at;
+            EXPECT_EQ(r.active_quilt.quilt, ref.quilt.quilt) << at;
+            EXPECT_EQ(r.active_quilt.nearby_count, ref.quilt.nearby_count)
+                << at;
+            EXPECT_EQ(DoubleBits(r.influence), DoubleBits(ref.influence)) << at;
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(MqmExactTest, ValidatesInputs) {

@@ -192,9 +192,10 @@ TEST(MqmGeneralTest, CanonicalFormsGroupExactlyNotByHashAlone) {
   ASSERT_TRUE(star.AddNode("s1", 2, {0}, kEdge).ok());
   ASSERT_TRUE(star.AddNode("odd", 2, {0}, BinaryNoisyCopyCpt(0.125)).ok());
   const MoralGraph graph = UnionMoralGraph({star});
-  const NodeCanonicalForm s0 = CanonicalizeNode({star}, graph, 1);
-  const NodeCanonicalForm s1 = CanonicalizeNode({star}, graph, 2);
-  const NodeCanonicalForm odd = CanonicalizeNode({star}, graph, 3);
+  const CanonicalBasis basis({star}, graph);
+  const NodeCanonicalForm s0 = basis.Canonicalize(1);
+  const NodeCanonicalForm s1 = basis.Canonicalize(2);
+  const NodeCanonicalForm odd = basis.Canonicalize(3);
   EXPECT_EQ(s0.key, s1.key);
   EXPECT_TRUE(s0.SameProblem(s1));
   EXPECT_FALSE(s0.SameProblem(odd));

@@ -8,12 +8,11 @@
 
 #include <cmath>
 
-#include "baselines/group_dp.h"
 #include "bench/bench_util.h"
 #include "data/flu.h"
 #include "dist/wasserstein.h"
 #include "pufferfish/markov_quilt_mechanism.h"
-#include "pufferfish/wasserstein_mechanism.h"
+#include "pufferfish/mechanism.h"
 
 namespace pf {
 namespace {
@@ -30,20 +29,24 @@ void BM_FluExample(benchmark::State& state) {
   const double epsilon = kEpsilons[state.range(0)];
   const FluCliqueModel clique = FluCliqueModel::PaperExample();
   const ConditionalOutputPair pair = clique.CountQueryOutputPair().ValueOrDie();
-  const auto mech = WassersteinMechanism::Make({pair}, epsilon).ValueOrDie();
-  const auto group =
-      GroupDpMechanism::Make(clique.GroupSensitivity(), epsilon).ValueOrDie();
+  const MechanismPlan wasserstein =
+      WassersteinUnified({pair}).Analyze(epsilon).ValueOrDie();
+  const MechanismPlan group =
+      GroupDpUnified(clique.GroupSensitivity()).Analyze(epsilon).ValueOrDie();
   Rng rng(17 + state.range(0));
   Row row;
-  row.w = mech.wasserstein_sensitivity();
+  row.w = wasserstein.wasserstein_w;
   for (auto _ : state) {
     double werr = 0.0, gerr = 0.0;
     for (int t = 0; t < kTrials; ++t) {
       const std::vector<int> status = clique.Sample(&rng);
       double count = 0.0;
       for (int s : status) count += s;
-      werr += std::fabs(mech.Release(count, &rng) - count);
-      gerr += std::fabs(group.ReleaseScalar(count, &rng) - count);
+      werr += std::fabs(
+          ReleaseVector(wasserstein, {count}, 1.0, &rng).ValueOrDie()[0] -
+          count);
+      gerr += std::fabs(
+          ReleaseVector(group, {count}, 1.0, &rng).ValueOrDie()[0] - count);
     }
     row.err_wasserstein = werr / kTrials;
     row.err_group = gerr / kTrials;

@@ -13,7 +13,6 @@
 #include <cmath>
 
 #include "baselines/group_dp.h"
-#include "baselines/laplace_dp.h"
 #include "bench/activity_experiment.h"
 #include "bench/bench_util.h"
 #include "common/histogram.h"

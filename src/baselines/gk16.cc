@@ -72,23 +72,4 @@ Result<Gk16Analysis> Gk16Analyze(const std::vector<MarkovChain>& thetas,
   return Gk16Analyze(transitions, length, epsilon);
 }
 
-Result<double> Gk16ReleaseScalar(const Gk16Analysis& analysis, double value,
-                                 double lipschitz, Rng* rng) {
-  if (!analysis.applicable) {
-    return Status::FailedPrecondition(
-        "GK16 inapplicable: influence-matrix spectral norm >= 1");
-  }
-  return AddLaplaceNoise(value, lipschitz * analysis.sigma, rng);
-}
-
-Result<Vector> Gk16ReleaseVector(const Gk16Analysis& analysis,
-                                 const Vector& value, double lipschitz,
-                                 Rng* rng) {
-  if (!analysis.applicable) {
-    return Status::FailedPrecondition(
-        "GK16 inapplicable: influence-matrix spectral norm >= 1");
-  }
-  return AddLaplaceNoise(value, lipschitz * analysis.sigma, rng);
-}
-
 }  // namespace pf

@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/matrix.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "graphical/markov_chain.h"
 
@@ -60,16 +59,6 @@ Result<Gk16Analysis> Gk16Analyze(const std::vector<Matrix>& transitions,
 /// matrices).
 Result<Gk16Analysis> Gk16Analyze(const std::vector<MarkovChain>& thetas,
                                  std::size_t length, double epsilon);
-
-/// Releases a scalar L-Lipschitz query. Fails if the analysis found the
-/// mechanism inapplicable.
-Result<double> Gk16ReleaseScalar(const Gk16Analysis& analysis, double value,
-                                 double lipschitz, Rng* rng);
-
-/// Releases a vector query with independent per-coordinate noise.
-Result<Vector> Gk16ReleaseVector(const Gk16Analysis& analysis,
-                                 const Vector& value, double lipschitz,
-                                 Rng* rng);
 
 }  // namespace pf
 

@@ -1,28 +1,8 @@
 #include "baselines/group_dp.h"
 
 #include <algorithm>
-#include <cmath>
-
-#include "pufferfish/framework.h"
 
 namespace pf {
-
-Result<GroupDpMechanism> GroupDpMechanism::Make(double group_sensitivity,
-                                                double epsilon) {
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  if (!(group_sensitivity >= 0.0) || !std::isfinite(group_sensitivity)) {
-    return Status::InvalidArgument("group sensitivity must be nonnegative");
-  }
-  return GroupDpMechanism(group_sensitivity, epsilon);
-}
-
-double GroupDpMechanism::ReleaseScalar(double value, Rng* rng) const {
-  return AddLaplaceNoise(value, noise_scale(), rng);
-}
-
-Vector GroupDpMechanism::ReleaseVector(const Vector& value, Rng* rng) const {
-  return AddLaplaceNoise(value, noise_scale(), rng);
-}
 
 Result<double> RelativeFrequencyGroupSensitivity(
     const std::vector<StateSequence>& sequences) {

@@ -4,7 +4,8 @@
 // the query when an entire group's records change. For a single connected
 // Markov chain the whole chain is one group, which is why GroupDP noise
 // scales with the (longest) chain length — the baseline behaviour the paper
-// contrasts against.
+// contrasts against. The mechanism is GroupDpUnified (pufferfish/mechanism.h);
+// this header holds the group sensitivities it is built from.
 #ifndef PUFFERFISH_BASELINES_GROUP_DP_H_
 #define PUFFERFISH_BASELINES_GROUP_DP_H_
 
@@ -12,29 +13,9 @@
 #include <vector>
 
 #include "common/histogram.h"
-#include "common/matrix.h"
-#include "common/random.h"
 #include "common/status.h"
 
 namespace pf {
-
-/// \brief Group-DP Laplace mechanism with explicit group sensitivity.
-class GroupDpMechanism {
- public:
-  /// `group_sensitivity` = max over groups G of the L1 change of the query
-  /// when all records in G change (Definition B.1); epsilon > 0.
-  static Result<GroupDpMechanism> Make(double group_sensitivity, double epsilon);
-
-  double noise_scale() const { return group_sensitivity_ / epsilon_; }
-
-  double ReleaseScalar(double value, Rng* rng) const;
-  Vector ReleaseVector(const Vector& value, Rng* rng) const;
-
- private:
-  GroupDpMechanism(double s, double e) : group_sensitivity_(s), epsilon_(e) {}
-  double group_sensitivity_;
-  double epsilon_;
-};
 
 /// \brief Group sensitivity of the pooled relative-frequency histogram when
 /// each sequence is one fully correlated group: 2 * max_len / total_len

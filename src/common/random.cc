@@ -108,16 +108,6 @@ Vector Rng::UniformSimplex(std::size_t k) {
   return v;
 }
 
-double AddLaplaceNoise(double value, double scale, Rng* rng) {
-  return value + rng->Laplace(scale);
-}
-
-Vector AddLaplaceNoise(const Vector& value, double scale, Rng* rng) {
-  Vector out = value;
-  for (double& v : out) v += rng->Laplace(scale);
-  return out;
-}
-
 void AddLaplaceNoise(double* values, std::size_t n, double scale, Rng* rng) {
   for (std::size_t i = 0; i < n; ++i) values[i] += rng->Laplace(scale);
 }

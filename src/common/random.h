@@ -69,18 +69,11 @@ inline double LaplaceExpectedAbs(double scale) { return scale; }
 /// measure-zero draw.
 double LaplaceInverseCdf(double u, double scale);
 
-/// \brief value + Lap(scale): the release primitive shared by every
-/// mechanism in the library (Algorithms 1-4 all end with this line).
-double AddLaplaceNoise(double value, double scale, Rng* rng);
-
-/// Independent Laplace(scale) noise per coordinate (correct for queries
-/// that are Lipschitz in L1 over the whole vector).
-Vector AddLaplaceNoise(const Vector& value, double scale, Rng* rng);
-
-/// In-place variant over a raw buffer (the columnar serving path's noise
-/// primitive): values[i] += Lap(scale) for i in [0, n), drawing exactly the
-/// sequence the Vector overload would — a row noised here is bit-identical
-/// to AddLaplaceNoise(row_as_vector, scale, rng).
+/// \brief values[i] += Lap(scale) for i in [0, n), drawn in index order:
+/// the release step every mechanism ends with (Algorithms 1-4: "return
+/// F(D) + Lap(sigma) noise"), independent per coordinate. ReleaseVector
+/// calls it, and it is the documented reference BatchLaplaceNoise
+/// reproduces bit for bit.
 void AddLaplaceNoise(double* values, std::size_t n, double scale, Rng* rng);
 
 /// \brief The per-ticket noise-stream seed shared by the scalar and

@@ -34,74 +34,47 @@ std::string CompositionAccountant::QuiltSignature(const MarkovQuilt& q) {
   return sig;
 }
 
-Status CompositionAccountant::RecordRelease(double epsilon,
-                                            const MarkovQuilt& active_quilt) {
-  // Shared with every mechanism's Analyze: the ledger and the mechanisms
-  // must agree on what a valid epsilon is. Rejecting (InvalidArgument)
-  // instead of silently accounting keeps TotalEpsilon meaningful.
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  const std::string sig = QuiltSignature(active_quilt);
-  if (epsilons_.empty()) {
-    first_signature_ = sig;
-  } else if (sig != first_signature_) {
-    consistent_ = false;
-  }
-  epsilons_.push_back(epsilon);
-  if (epsilon > max_epsilon_) max_epsilon_ = epsilon;
-  return Status::OK();
-}
-
-Status CompositionAccountant::RecordReleaseStrict(
-    double epsilon, const MarkovQuilt& active_quilt) {
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  const std::string sig = QuiltSignature(active_quilt);
-  if (!epsilons_.empty() && sig != first_signature_) {
-    return Status::FailedPrecondition(
-        "release refused: its active quilt differs from the ledger's "
-        "earlier releases, so Theorem 4.4 composition does not apply; "
-        "serve it from a separate session");
-  }
-  if (epsilons_.empty()) first_signature_ = sig;
-  epsilons_.push_back(epsilon);
-  if (epsilon > max_epsilon_) max_epsilon_ = epsilon;
-  return Status::OK();
-}
-
 Status CompositionAccountant::RecordBatchStrict(
     const std::vector<double>& epsilons, const MarkovQuilt& active_quilt) {
   // Validate everything BEFORE mutating: all-or-nothing is the contract.
+  // Shared with every mechanism's Analyze: the ledger and the mechanisms
+  // must agree on what a valid epsilon is.
   for (double epsilon : epsilons) {
     PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
   }
   if (epsilons.empty()) return Status::OK();
   const std::string sig = QuiltSignature(active_quilt);
-  if (!epsilons_.empty() && sig != first_signature_) {
+  if (num_releases_ != 0 && sig != first_signature_) {
     return Status::FailedPrecondition(
-        "batch refused: its active quilt differs from the ledger's earlier "
-        "releases, so Theorem 4.4 composition does not apply; serve it from "
-        "a separate session");
+        "release refused: its active quilt differs from the ledger's "
+        "earlier releases, so Theorem 4.4 composition does not apply; "
+        "serve it from a separate session");
   }
-  if (epsilons_.empty()) first_signature_ = sig;
-  epsilons_.insert(epsilons_.end(), epsilons.begin(), epsilons.end());
+  if (num_releases_ == 0) first_signature_ = sig;
+  num_releases_ += epsilons.size();
   for (double epsilon : epsilons) {
     if (epsilon > max_epsilon_) max_epsilon_ = epsilon;
   }
   return Status::OK();
 }
 
+Status CompositionAccountant::RecordReleaseStrict(
+    double epsilon, const MarkovQuilt& active_quilt) {
+  return RecordBatchStrict({epsilon}, active_quilt);
+}
+
 double CompositionAccountant::TotalEpsilon() const {
-  return static_cast<double>(epsilons_.size()) * max_epsilon_;
+  return static_cast<double>(num_releases_) * max_epsilon_;
 }
 
 bool CompositionAccountant::MatchesActiveQuilt(const MarkovQuilt& quilt) const {
-  return epsilons_.empty() || QuiltSignature(quilt) == first_signature_;
+  return num_releases_ == 0 || QuiltSignature(quilt) == first_signature_;
 }
 
 void CompositionAccountant::Reset() {
-  epsilons_.clear();
+  num_releases_ = 0;
   max_epsilon_ = 0.0;
   first_signature_.clear();
-  consistent_ = true;
 }
 
 }  // namespace pf

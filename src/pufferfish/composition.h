@@ -8,6 +8,7 @@
 #define PUFFERFISH_PUFFERFISH_COMPOSITION_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -44,16 +45,8 @@ class CompositionAccountant {
  public:
   CompositionAccountant() = default;
 
-  /// \brief Records one release made at privacy level `epsilon` whose
-  /// per-node active quilt at the worst node is `active_quilt` (used to
-  /// verify the Theorem 4.4 precondition that all releases share active
-  /// quilts). Non-positive or non-finite epsilon is rejected with
-  /// InvalidArgument and leaves the ledger untouched — silently accounting
-  /// it would corrupt TotalEpsilon for every later release.
-  Status RecordRelease(double epsilon, const MarkovQuilt& active_quilt);
-
   /// Number of releases recorded so far (K).
-  std::size_t num_releases() const { return epsilons_.size(); }
+  std::size_t num_releases() const { return num_releases_; }
 
   /// \brief Composed privacy parameter: K * max_k epsilon_k (Theorem 4.4).
   /// Zero when no release has been recorded.
@@ -66,41 +59,32 @@ class CompositionAccountant {
 
   /// \brief True when `quilt` matches the active quilt of every recorded
   /// release (vacuously true for an empty ledger). Lets a budget ledger
-  /// *refuse* a Theorem 4.4 violation up front instead of detecting it
-  /// after the fact via ActiveQuiltsConsistent().
+  /// *refuse* a Theorem 4.4 violation up front.
   [[nodiscard]] bool MatchesActiveQuilt(const MarkovQuilt& quilt) const;
 
-  /// \brief RecordRelease that *refuses* an active-quilt mismatch with
-  /// FailedPrecondition (ledger untouched) instead of recording it as
-  /// inconsistent — the serving-ledger variant, computing the quilt
-  /// signature once for check and record.
-  Status RecordReleaseStrict(double epsilon, const MarkovQuilt& active_quilt);
-
-  /// \brief Atomic batch variant of RecordReleaseStrict: records every
-  /// release in `epsilons` (all sharing `active_quilt` — the caller
-  /// verifies that, Theorem 4.4's precondition) or none of them. Any
-  /// invalid epsilon (InvalidArgument) or a quilt mismatch with the
-  /// ledger's earlier releases (FailedPrecondition) refuses the whole
-  /// batch with the ledger untouched — the columnar serving path relies on
-  /// this so a refused batch never debits partial epsilon.
+  /// \brief Records every release in `epsilons` (all sharing
+  /// `active_quilt` — the caller verifies that, Theorem 4.4's
+  /// precondition) or none of them. Any invalid epsilon (non-positive or
+  /// non-finite: InvalidArgument) or a quilt mismatch with the ledger's
+  /// earlier releases (FailedPrecondition) refuses the whole batch with the
+  /// ledger untouched — the columnar serving path relies on this so a
+  /// refused batch never debits partial epsilon.
   Status RecordBatchStrict(const std::vector<double>& epsilons,
                            const MarkovQuilt& active_quilt);
+
+  /// One release: RecordBatchStrict({epsilon}, active_quilt).
+  Status RecordReleaseStrict(double epsilon, const MarkovQuilt& active_quilt);
 
   /// Forgets all recorded releases.
   void Reset();
 
-  /// True iff every recorded release used the same active quilt — the
-  /// condition under which Theorem 4.4's linear composition is proved.
-  /// (Identical epsilon and S_{Q,i} across releases guarantee this.)
-  bool ActiveQuiltsConsistent() const { return consistent_; }
-
  private:
   static std::string QuiltSignature(const MarkovQuilt& q);
 
-  std::vector<double> epsilons_;
+  // Only the count and the max enter Theorem 4.4's K * max_k epsilon_k.
+  std::uint64_t num_releases_ = 0;
   double max_epsilon_ = 0.0;
   std::string first_signature_;
-  bool consistent_ = true;
 };
 
 }  // namespace pf

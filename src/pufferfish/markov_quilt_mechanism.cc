@@ -307,16 +307,6 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
   return analysis;
 }
 
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
-    std::size_t enumeration_limit) {
-  MqmAnalyzeOptions options;
-  options.enumeration_limit = enumeration_limit;
-  return AnalyzeMarkovQuiltMechanismWithQuilts(thetas, epsilon, quilt_sets,
-                                               options);
-}
-
 Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
     const std::vector<BayesianNetwork>& thetas, double epsilon,
     const MqmAnalyzeOptions& options) {
@@ -401,25 +391,6 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
       Arena::TotalBlockAllocations() - arena_blocks_before;
   analysis.treewidth_bound = MinFillWidth(graph.adjacency());
   return analysis;
-}
-
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    std::size_t max_quilt_size, std::size_t enumeration_limit) {
-  MqmAnalyzeOptions options;
-  options.max_quilt_size = max_quilt_size;
-  options.enumeration_limit = enumeration_limit;
-  return AnalyzeMarkovQuiltMechanism(thetas, epsilon, options);
-}
-
-double MqmReleaseScalar(double value, double lipschitz, double sigma_max,
-                        Rng* rng) {
-  return AddLaplaceNoise(value, lipschitz * sigma_max, rng);
-}
-
-Vector MqmReleaseVector(const Vector& value, double lipschitz, double sigma_max,
-                        Rng* rng) {
-  return AddLaplaceNoise(value, lipschitz * sigma_max, rng);
 }
 
 }  // namespace pf

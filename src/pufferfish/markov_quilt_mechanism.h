@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "common/memory_stats.h"
-#include "common/random.h"
 #include "common/status.h"
 #include "graphical/bayesian_network.h"
 #include "graphical/elimination.h"
@@ -181,11 +180,6 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
     const std::vector<BayesianNetwork>& thetas, double epsilon,
     const MqmAnalyzeOptions& options);
 
-/// Back-compat convenience overload (single-threaded).
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    std::size_t max_quilt_size = 2, std::size_t enumeration_limit = 1u << 22);
-
 /// \brief As above but with caller-supplied quilt sets S_{Q,i} (one vector
 /// per node). Each set must contain the trivial quilt; validated. Scores
 /// every node against its own set in the caller's labeling (no node-class
@@ -194,20 +188,6 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
     const std::vector<BayesianNetwork>& thetas, double epsilon,
     const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
     const MqmAnalyzeOptions& options);
-
-/// Back-compat convenience overload (single-threaded).
-Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
-    const std::vector<BayesianNetwork>& thetas, double epsilon,
-    const std::vector<std::vector<MarkovQuilt>>& quilt_sets,
-    std::size_t enumeration_limit = 1u << 22);
-
-/// Releases a scalar L-Lipschitz query value: F(D) + L * sigma_max * Lap(1).
-double MqmReleaseScalar(double value, double lipschitz, double sigma_max, Rng* rng);
-
-/// Releases an L1 L-Lipschitz vector query: i.i.d. L * sigma_max * Lap(1)
-/// noise per coordinate (the vector-valued extension of Section 4.2).
-Vector MqmReleaseVector(const Vector& value, double lipschitz, double sigma_max,
-                        Rng* rng);
 
 }  // namespace pf
 

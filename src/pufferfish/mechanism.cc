@@ -55,7 +55,9 @@ Status CheckReleasable(const MechanismPlan& plan, double lipschitz) {
 Result<Vector> ReleaseVector(const MechanismPlan& plan, const Vector& value,
                              double lipschitz, Rng* rng) {
   PF_RETURN_NOT_OK(CheckReleasable(plan, lipschitz));
-  return AddLaplaceNoise(value, lipschitz * plan.sigma, rng);
+  Vector out = value;
+  AddLaplaceNoise(out.data(), out.size(), lipschitz * plan.sigma, rng);
+  return out;
 }
 
 Status ReleaseBatchColumnar(
@@ -142,10 +144,10 @@ std::uint64_t Gk16Unified::Fingerprint() const {
 // ------------------------------------------------------------ Wasserstein --
 
 Result<MechanismPlan> WassersteinUnified::Analyze(double epsilon) const {
-  PF_ASSIGN_OR_RETURN(WassersteinMechanism mech,
-                      WassersteinMechanism::Make(pairs_, epsilon, backend_));
-  MechanismPlan plan = NewPlan(epsilon, mech.noise_scale());
-  plan.wasserstein_w = mech.wasserstein_sensitivity();
+  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+  PF_ASSIGN_OR_RETURN(double w, WassersteinSensitivity(pairs_, backend_));
+  MechanismPlan plan = NewPlan(epsilon, w / epsilon);
+  plan.wasserstein_w = w;
   return plan;
 }
 

@@ -168,12 +168,10 @@ class Mechanism {
 };
 
 // ----------------------------------------------------------------------
-// The release half of the lifecycle: free functions of the plan. These are
-// the only places in the library that add noise under a MechanismPlan.
-// The pre-engine release helpers (LaplaceDpMechanism, GroupDpMechanism,
-// Gk16Release*, MqmRelease*, WassersteinMechanism::Release) still add
-// noise of their own for the paper experiments; nothing in the serving
-// path calls them.
+// The release half of the lifecycle: free functions of the plan. These two,
+// ReleaseVector and ReleaseBatchColumnar, are the only places in the
+// library that add noise; every mechanism releases through them (the
+// pf-analyzer noise-site rule keeps it so).
 // ----------------------------------------------------------------------
 
 /// Releases one vector query that is L-Lipschitz in L1 over the whole

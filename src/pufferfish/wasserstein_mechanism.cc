@@ -5,10 +5,9 @@
 
 namespace pf {
 
-Result<WassersteinMechanism> WassersteinMechanism::Make(
-    const std::vector<ConditionalOutputPair>& pairs, double epsilon,
+Result<double> WassersteinSensitivity(
+    const std::vector<ConditionalOutputPair>& pairs,
     WassersteinBackend backend) {
-  PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
   if (pairs.empty()) {
     return Status::InvalidArgument("no secret pairs supplied");
   }
@@ -17,11 +16,7 @@ Result<WassersteinMechanism> WassersteinMechanism::Make(
     PF_ASSIGN_OR_RETURN(double wij, WassersteinInf(pair.mu_i, pair.mu_j, backend));
     w = std::max(w, wij);
   }
-  return WassersteinMechanism(w, epsilon);
-}
-
-double WassersteinMechanism::Release(double true_value, Rng* rng) const {
-  return AddLaplaceNoise(true_value, noise_scale(), rng);
+  return w;
 }
 
 Result<DiscreteDistribution> ConditionalOutputDistribution(

@@ -12,7 +12,6 @@
 #include <functional>
 #include <vector>
 
-#include "common/random.h"
 #include "common/status.h"
 #include "dist/discrete_distribution.h"
 #include "dist/wasserstein.h"
@@ -29,34 +28,19 @@ struct ConditionalOutputPair {
   DiscreteDistribution mu_j;
 };
 
-/// \brief The generic Wasserstein Mechanism over explicitly supplied
-/// conditional output distributions.
+/// \brief The sensitivity W of Algorithm 1 over explicitly supplied
+/// conditional output distributions: the max over pairs of W_inf(mu_i,
+/// mu_j). Fails with InvalidArgument if `pairs` is empty.
 ///
 /// This is the fully general entry point: *any* Pufferfish instantiation can
 /// be used by enumerating its secret pairs and thetas and supplying the
 /// conditional distributions of F(X). Helpers below do this enumeration for
-/// Bayesian-network instantiations.
-class WassersteinMechanism {
- public:
-  /// Computes W = max over pairs of W_inf(mu_i, mu_j) and prepares the
-  /// mechanism. Fails if `pairs` is empty or epsilon invalid.
-  static Result<WassersteinMechanism> Make(
-      const std::vector<ConditionalOutputPair>& pairs, double epsilon,
-      WassersteinBackend backend = WassersteinBackend::kQuantile);
-
-  /// The sensitivity parameter W of Algorithm 1.
-  double wasserstein_sensitivity() const { return w_; }
-  /// Laplace scale W / epsilon.
-  double noise_scale() const { return w_ / epsilon_; }
-
-  /// Releases F(D) + Lap(W/epsilon).
-  double Release(double true_value, Rng* rng) const;
-
- private:
-  WassersteinMechanism(double w, double epsilon) : w_(w), epsilon_(epsilon) {}
-  double w_;
-  double epsilon_;
-};
+/// Bayesian-network instantiations. The mechanism itself is
+/// WassersteinUnified (pufferfish/mechanism.h): its plan's sigma is
+/// W / epsilon, and ReleaseVector adds the noise.
+Result<double> WassersteinSensitivity(
+    const std::vector<ConditionalOutputPair>& pairs,
+    WassersteinBackend backend = WassersteinBackend::kQuantile);
 
 /// \brief Enumerates the Section 4.1 instantiation over a Bayesian-network
 /// class: for every variable i, every value pair (a, b) with positive

@@ -27,3 +27,11 @@ int DieBad(const Res& r) {
 void AbortBad() {
   abort();  // no-abort
 }
+
+struct Rng {
+  double Laplace(double scale);
+};
+
+double NoiseSiteBad(double value, Rng* rng) {
+  return value + rng->Laplace(1.0);  // noise-site: bypasses ReleaseVector
+}

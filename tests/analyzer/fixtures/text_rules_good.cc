@@ -18,6 +18,12 @@ std::unique_ptr<int> OwnGood() {
   return std::make_unique<int>(7);  // Ownership via make_unique.
 }
 
+double ReleaseVector(double value, double scale);
+
+double NoiseSiteGood(double value) {
+  return ReleaseVector(value, 1.0);  // Noise through the release primitive.
+}
+
 int MarkedNoise() {
   // A deliberate exception with an inline justification is suppressed:
   return rand();  // pf:allow(unseeded-randomness): fixture proves markers work

@@ -71,12 +71,12 @@ def main():
              "no_throw_bad.cc", "no_throw_good.cc", ["[no-throw]"]),
             ("text-rules", ",".join([
                 "unseeded-randomness", "fast-math-fma", "naked-new-delete",
-                "value-or-die", "raw-mutex", "no-abort"]),
+                "value-or-die", "raw-mutex", "no-abort", "noise-site"]),
              ["--all-files-in-scope", "--regex-only"],
              "text_rules_bad.cc", "text_rules_good.cc",
              ["[unseeded-randomness]", "[fast-math-fma]",
               "[naked-new-delete]", "[value-or-die]", "[raw-mutex]",
-              "[no-abort]"]),
+              "[no-abort]", "[noise-site]"]),
         ]
         for label, rules, flags, bad, good, tags in pairs:
             base = ["--rules", rules, "--baseline", no_baseline] + flags

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "pufferfish/framework.h"
+#include "pufferfish/mechanism.h"
 
 namespace pf {
 namespace {
@@ -62,24 +63,16 @@ TEST(Gk16Test, ClassTakesWorstNu) {
   EXPECT_NEAR(a.nu, Gk16PairwiseInfluence(wild), 1e-12);
 }
 
-TEST(Gk16Test, ReleaseFailsWhenInapplicable) {
-  const Matrix p{{1.0, 0.0}, {0.5, 0.5}};
-  const Gk16Analysis a = Gk16Analyze({p}, 100, 1.0).ValueOrDie();
-  Rng rng(1);
-  EXPECT_FALSE(Gk16ReleaseScalar(a, 0.0, 1.0, &rng).ok());
-  EXPECT_FALSE(Gk16ReleaseVector(a, {0.0}, 1.0, &rng).ok());
-}
-
 TEST(Gk16Test, ReleaseNoiseCalibrated) {
   const Matrix p = BinaryChainIntervalClass::TransitionFor(0.55, 0.55);
-  const Gk16Analysis a = Gk16Analyze({p}, 100, 1.0).ValueOrDie();
+  const MechanismPlan plan = Gk16Unified({p}, 100).Analyze(1.0).ValueOrDie();
   Rng rng(2);
   double abs_err = 0.0;
   const int n = 50000;
   for (int i = 0; i < n; ++i) {
-    abs_err += std::fabs(Gk16ReleaseScalar(a, 0.0, 1.0, &rng).ValueOrDie());
+    abs_err += std::fabs(ReleaseVector(plan, {0.0}, 1.0, &rng).ValueOrDie()[0]);
   }
-  EXPECT_NEAR(abs_err / n, a.sigma, 0.05 * a.sigma + 0.01);
+  EXPECT_NEAR(abs_err / n, plan.sigma, 0.05 * plan.sigma + 0.01);
 }
 
 TEST(Gk16Test, ValidatesInputs) {

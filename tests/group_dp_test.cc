@@ -4,17 +4,18 @@
 
 #include <cmath>
 
+#include "pufferfish/mechanism.h"
+
 namespace pf {
 namespace {
 
 TEST(GroupDpTest, ScaleIsGroupSensitivityOverEpsilon) {
-  const auto m = GroupDpMechanism::Make(4.0, 2.0).ValueOrDie();
-  EXPECT_DOUBLE_EQ(m.noise_scale(), 2.0);
+  EXPECT_DOUBLE_EQ(GroupDpUnified(4.0).Analyze(2.0).ValueOrDie().sigma, 2.0);
 }
 
 TEST(GroupDpTest, Validation) {
-  EXPECT_FALSE(GroupDpMechanism::Make(1.0, -1.0).ok());
-  EXPECT_FALSE(GroupDpMechanism::Make(-1.0, 1.0).ok());
+  EXPECT_FALSE(GroupDpUnified(1.0).Analyze(-1.0).ok());
+  EXPECT_FALSE(GroupDpUnified(-1.0).Analyze(1.0).ok());
 }
 
 TEST(GroupDpTest, RelativeFrequencySensitivitySingleChain) {
@@ -44,12 +45,13 @@ TEST(GroupDpTest, ExpectedErrorMatchesPaperScaling) {
   // (reported as ~5, ~1, ~0.2 for epsilon = 0.2, 1, 5).
   Rng rng(8);
   for (double eps : {0.2, 1.0, 5.0}) {
-    const auto m = GroupDpMechanism::Make(MeanStateGroupSensitivity(2), eps)
-                       .ValueOrDie();
+    const auto plan =
+        GroupDpUnified(MeanStateGroupSensitivity(2)).Analyze(eps).ValueOrDie();
     double abs_err = 0.0;
     const int n = 40000;
     for (int i = 0; i < n; ++i) {
-      abs_err += std::fabs(m.ReleaseScalar(0.0, &rng));
+      abs_err +=
+          std::fabs(ReleaseVector(plan, {0.0}, 1.0, &rng).ValueOrDie()[0]);
     }
     EXPECT_NEAR(abs_err / n, 1.0 / eps, 0.12 / eps);
   }

@@ -4,6 +4,7 @@
 
 #include <cmath>
 
+#include "pufferfish/mechanism.h"
 #include "pufferfish/mqm_exact.h"
 
 namespace pf {
@@ -66,7 +67,7 @@ TEST(MarkovQuiltMechanismTest, AnalyzeProducesFiniteSigma) {
   const BayesianNetwork bn =
       Chain({0.8, 0.2}, Matrix{{0.9, 0.1}, {0.4, 0.6}}, 6);
   const MqmAnalysis analysis =
-      AnalyzeMarkovQuiltMechanism({bn}, 1.0, 2).ValueOrDie();
+      AnalyzeMarkovQuiltMechanism({bn}, 1.0, {}).ValueOrDie();
   EXPECT_TRUE(std::isfinite(analysis.sigma_max));
   EXPECT_GT(analysis.sigma_max, 0.0);
   // Never worse than the trivial quilt's n/epsilon.
@@ -84,7 +85,7 @@ TEST(MarkovQuiltMechanismTest, AnalyzeOnDiamondNetwork) {
                          Matrix{{0.8, 0.2}, {0.6, 0.4}, {0.3, 0.7}, {0.1, 0.9}})
                   .ok());
   const MqmAnalysis analysis =
-      AnalyzeMarkovQuiltMechanism({bn}, 2.0, 2).ValueOrDie();
+      AnalyzeMarkovQuiltMechanism({bn}, 2.0, {}).ValueOrDie();
   EXPECT_TRUE(std::isfinite(analysis.sigma_max));
   EXPECT_LE(analysis.sigma_max, 4.0 / 2.0 + 1e-9);
 }
@@ -97,16 +98,18 @@ TEST(MarkovQuiltMechanismTest, QuiltSetsMustContainTrivial) {
   for (int i = 0; i < 3; ++i) {
     sets[static_cast<std::size_t>(i)] = {TrivialQuilt(i, 3)};
   }
-  EXPECT_TRUE(AnalyzeMarkovQuiltMechanismWithQuilts({bn}, 1.0, sets).ok());
+  EXPECT_TRUE(
+      AnalyzeMarkovQuiltMechanismWithQuilts({bn}, 1.0, sets, {}).ok());
   sets[1] = {QuiltFromSeparator(g, 1, {0})};  // Missing trivial quilt.
-  EXPECT_FALSE(AnalyzeMarkovQuiltMechanismWithQuilts({bn}, 1.0, sets).ok());
+  EXPECT_FALSE(
+      AnalyzeMarkovQuiltMechanismWithQuilts({bn}, 1.0, sets, {}).ok());
 }
 
 TEST(MarkovQuiltMechanismTest, WorstNodeIsArgmax) {
   const BayesianNetwork bn =
       Chain({0.8, 0.2}, Matrix{{0.9, 0.1}, {0.4, 0.6}}, 5);
   const MqmAnalysis analysis =
-      AnalyzeMarkovQuiltMechanism({bn}, 1.0, 2).ValueOrDie();
+      AnalyzeMarkovQuiltMechanism({bn}, 1.0, {}).ValueOrDie();
   double max_score = 0.0;
   for (const QuiltScore& qs : analysis.active) {
     max_score = std::max(max_score, qs.score);
@@ -117,16 +120,17 @@ TEST(MarkovQuiltMechanismTest, WorstNodeIsArgmax) {
               1e-12);
 }
 
-TEST(MarkovQuiltMechanismTest, ReleaseHelpers) {
+TEST(MarkovQuiltMechanismTest, ReleaseScalesNoiseByLipschitz) {
+  // sigma = 3; the release scales it by the Lipschitz constant 0.5.
+  const auto plan = LaplaceDpUnified(3.0).Analyze(1.0).ValueOrDie();
   Rng rng(5);
   double abs_sum = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    abs_sum += std::fabs(MqmReleaseScalar(1.0, 0.5, 3.0, &rng) - 1.0);
+    abs_sum +=
+        std::fabs(ReleaseVector(plan, {1.0}, 0.5, &rng).ValueOrDie()[0] - 1.0);
   }
   EXPECT_NEAR(abs_sum / n, 1.5, 0.02);  // E|Lap(L * sigma)| = 1.5.
-  const Vector noisy = MqmReleaseVector({1.0, 2.0, 3.0}, 1.0, 0.0, &rng);
-  EXPECT_DOUBLE_EQ(noisy[0], 1.0);  // sigma = 0: no noise.
 }
 
 TEST(MarkovQuiltMechanismTest, EnumerationLimitEnforced) {
@@ -165,8 +169,8 @@ TEST(MarkovQuiltMechanismTest, EnumerationLimitEnforced) {
 TEST(MarkovQuiltMechanismTest, RejectsMismatchedThetas) {
   const BayesianNetwork a = Chain({0.5, 0.5}, Matrix{{0.9, 0.1}, {0.4, 0.6}}, 3);
   const BayesianNetwork b = Chain({0.5, 0.5}, Matrix{{0.9, 0.1}, {0.4, 0.6}}, 4);
-  EXPECT_FALSE(AnalyzeMarkovQuiltMechanism({a, b}, 1.0, 2).ok());
-  EXPECT_FALSE(AnalyzeMarkovQuiltMechanism({}, 1.0, 2).ok());
+  EXPECT_FALSE(AnalyzeMarkovQuiltMechanism({a, b}, 1.0, {}).ok());
+  EXPECT_FALSE(AnalyzeMarkovQuiltMechanism({}, 1.0, {}).ok());
 }
 
 }  // namespace

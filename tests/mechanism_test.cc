@@ -1,6 +1,6 @@
 // The unified Mechanism engine: every mechanism reachable through the
-// analyze/release split, plans agreeing with the legacy per-mechanism
-// entry points, and the shared release path behaving identically for all.
+// analyze/release split, plans agreeing with the per-mechanism analyses,
+// and the one release primitive behaving identically for all.
 #include "pufferfish/mechanism.h"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 #include <memory>
 #include <vector>
 
-#include "baselines/laplace_dp.h"
 #include "data/flu.h"
 #include "graphical/markov_chain.h"
 
@@ -65,10 +64,34 @@ TEST(MechanismTest, AllSevenMechanismsReachable) {
   }
 }
 
-TEST(MechanismTest, PlanMatchesLegacyLaplaceDp) {
-  const auto legacy = LaplaceDpMechanism::Make(3.0, 0.5).ValueOrDie();
-  const auto plan = LaplaceDpUnified(3.0).Analyze(0.5).ValueOrDie();
-  EXPECT_DOUBLE_EQ(plan.sigma, legacy.noise_scale());
+TEST(MechanismTest, LaplaceDpScaleIsSensitivityOverEpsilon) {
+  EXPECT_DOUBLE_EQ(LaplaceDpUnified(2.0).Analyze(0.5).ValueOrDie().sigma, 4.0);
+  EXPECT_DOUBLE_EQ(LaplaceDpUnified(3.0).Analyze(0.5).ValueOrDie().sigma, 6.0);
+}
+
+TEST(MechanismTest, LaplaceDpValidation) {
+  EXPECT_FALSE(LaplaceDpUnified(1.0).Analyze(0.0).ok());
+  EXPECT_FALSE(LaplaceDpUnified(-1.0).Analyze(1.0).ok());
+  EXPECT_TRUE(LaplaceDpUnified(0.0).Analyze(1.0).ok());
+}
+
+TEST(MechanismTest, LaplaceDpNoiseMagnitude) {
+  const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
+  Rng rng(3);
+  double abs_err = 0.0;
+  const int n = 100000;
+  for (int i = 0; i < n; ++i) {
+    abs_err += std::fabs(ReleaseVector(plan, {5.0}, 1.0, &rng).ValueOrDie()[0] -
+                         5.0);
+  }
+  EXPECT_NEAR(abs_err / n, 1.0, 0.02);
+}
+
+TEST(MechanismTest, ZeroScaleReleasesTruth) {
+  const auto plan = LaplaceDpUnified(0.0).Analyze(1.0).ValueOrDie();
+  Rng rng(3);
+  EXPECT_EQ(ReleaseVector(plan, {1.0, 2.0}, 1.0, &rng).ValueOrDie(),
+            (Vector{1.0, 2.0}));
 }
 
 TEST(MechanismTest, PlanMatchesLegacyMqmExact) {
@@ -83,15 +106,24 @@ TEST(MechanismTest, PlanMatchesLegacyMqmExact) {
   EXPECT_EQ(plan.chain.worst_node, legacy.worst_node);
 }
 
-// Releases through the engine are bit-identical to the legacy release path
-// under the same seed: one shared Laplace primitive.
-TEST(MechanismTest, SeededReleaseMatchesLegacyPath) {
-  const auto plan = GroupDpUnified(4.0).Analyze(2.0).ValueOrDie();
-  Rng rng_a(123), rng_b(123);
-  const double via_engine =
-      ReleaseVector(plan, {1.5}, 1.0, &rng_a).ValueOrDie()[0];
-  const double via_legacy = MqmReleaseScalar(1.5, 1.0, plan.sigma, &rng_b);
-  EXPECT_DOUBLE_EQ(via_engine, via_legacy);
+// Known-answer pin of the one release primitive: a GroupDP plan and an
+// applicable GK16 plan, each released from a fixed seed, bit for bit. A
+// change to the draw order or to the scale arithmetic shows here.
+TEST(MechanismTest, SeededReleaseKnownAnswer) {
+  const auto group = GroupDpUnified(4.0).Analyze(2.0).ValueOrDie();
+  Rng rng_a(123);
+  EXPECT_EQ(ReleaseVector(group, {1.5, -2.0, 0.0}, 0.5, &rng_a).ValueOrDie(),
+            (Vector{0x1.084084193af46p+0, -0x1.e19a7bf2446fep+0,
+                    0x1.0bc95ed50e384p+1}));
+  const Matrix near_uniform{{0.6, 0.4}, {0.4, 0.6}};
+  const auto gk16 = Gk16Unified(std::vector<Matrix>{near_uniform}, 20)
+                        .Analyze(1.0)
+                        .ValueOrDie();
+  ASSERT_TRUE(gk16.applicable);
+  EXPECT_EQ(gk16.sigma, 0x1.2b55662eb264p+1);
+  Rng rng_b(77);
+  EXPECT_EQ(ReleaseVector(gk16, {0.25, -1.0}, 0.5, &rng_b).ValueOrDie(),
+            (Vector{-0x1.422c487de431bp-1, -0x1.03d6eb67aebb4p+0}));
 }
 
 // Many scalar values under one plan are one Vector: the same stream as

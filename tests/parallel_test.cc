@@ -79,31 +79,32 @@ std::vector<BayesianNetwork> TestNetworks() {
 // sigma_max — and identical seeded releases — for 1, 2, and 8 threads.
 TEST(DeterminismTest, GeneralMqmAcrossThreadCounts) {
   const std::vector<BayesianNetwork> thetas = TestNetworks();
-  std::vector<MqmAnalysis> analyses;
+  std::vector<MechanismPlan> plans;
   for (std::size_t threads : {1u, 2u, 8u}) {
     MqmAnalyzeOptions options;
     options.max_quilt_size = 2;
     options.num_threads = threads;
-    const auto analysis =
-        AnalyzeMarkovQuiltMechanism(thetas, 1.0, options).ValueOrDie();
-    analyses.push_back(analysis);
+    plans.push_back(
+        MqmGeneralUnified(thetas, options).Analyze(1.0).ValueOrDie());
   }
-  for (std::size_t i = 1; i < analyses.size(); ++i) {
+  const MqmAnalysis& first = plans[0].mqm;
+  for (std::size_t i = 1; i < plans.size(); ++i) {
+    const MqmAnalysis& analysis = plans[i].mqm;
     // Bit-identical, not approximately equal.
-    EXPECT_EQ(analyses[i].sigma_max, analyses[0].sigma_max);
-    EXPECT_EQ(analyses[i].worst_node, analyses[0].worst_node);
-    ASSERT_EQ(analyses[i].active.size(), analyses[0].active.size());
-    for (std::size_t node = 0; node < analyses[0].active.size(); ++node) {
-      EXPECT_EQ(analyses[i].active[node].score, analyses[0].active[node].score);
-      EXPECT_EQ(analyses[i].active[node].quilt.quilt,
-                analyses[0].active[node].quilt.quilt);
+    EXPECT_EQ(analysis.sigma_max, first.sigma_max);
+    EXPECT_EQ(analysis.worst_node, first.worst_node);
+    ASSERT_EQ(analysis.active.size(), first.active.size());
+    for (std::size_t node = 0; node < first.active.size(); ++node) {
+      EXPECT_EQ(analysis.active[node].score, first.active[node].score);
+      EXPECT_EQ(analysis.active[node].quilt.quilt,
+                first.active[node].quilt.quilt);
     }
   }
   // Identical plans + identical seed => identical noisy releases.
   std::vector<double> releases;
-  for (const MqmAnalysis& analysis : analyses) {
+  for (const MechanismPlan& plan : plans) {
     Rng rng(2024);
-    releases.push_back(MqmReleaseScalar(3.5, 1.0, analysis.sigma_max, &rng));
+    releases.push_back(ReleaseVector(plan, {3.5}, 1.0, &rng).ValueOrDie()[0]);
   }
   EXPECT_EQ(releases[0], releases[1]);
   EXPECT_EQ(releases[0], releases[2]);
@@ -112,25 +113,27 @@ TEST(DeterminismTest, GeneralMqmAcrossThreadCounts) {
 TEST(DeterminismTest, MqmExactAcrossThreadCounts) {
   const std::vector<MarkovChain> thetas = {TestChain(0.8, 0.7),
                                            TestChain(0.9, 0.55)};
-  std::vector<ChainMqmResult> results;
+  std::vector<MechanismPlan> plans;
   for (std::size_t threads : {1u, 2u, 8u}) {
-    ChainMqmOptions options;
-    options.epsilon = 1.0;
+    ChainUnifiedOptions options;
     options.num_threads = threads;
     options.allow_stationary_shortcut = false;  // Force the full node scan.
-    results.push_back(MqmExactAnalyze(thetas, 200, options).ValueOrDie());
+    plans.push_back(
+        MqmExactUnified(thetas, 200, options).Analyze(1.0).ValueOrDie());
   }
-  for (std::size_t i = 1; i < results.size(); ++i) {
-    EXPECT_EQ(results[i].sigma_max, results[0].sigma_max);
-    EXPECT_EQ(results[i].worst_node, results[0].worst_node);
-    EXPECT_EQ(results[i].influence, results[0].influence);
-    EXPECT_EQ(results[i].active_quilt.quilt, results[0].active_quilt.quilt);
+  const ChainMqmResult& first = plans[0].chain;
+  for (std::size_t i = 1; i < plans.size(); ++i) {
+    const ChainMqmResult& r = plans[i].chain;
+    EXPECT_EQ(r.sigma_max, first.sigma_max);
+    EXPECT_EQ(r.worst_node, first.worst_node);
+    EXPECT_EQ(r.influence, first.influence);
+    EXPECT_EQ(r.active_quilt.quilt, first.active_quilt.quilt);
   }
   std::vector<Vector> releases;
-  for (const ChainMqmResult& r : results) {
+  for (const MechanismPlan& plan : plans) {
     Rng rng(77);
     releases.push_back(
-        MqmReleaseVector({1.0, 2.0, 3.0}, 0.02, r.sigma_max, &rng));
+        ReleaseVector(plan, {1.0, 2.0, 3.0}, 0.02, &rng).ValueOrDie());
   }
   EXPECT_EQ(releases[0], releases[1]);
   EXPECT_EQ(releases[0], releases[2]);

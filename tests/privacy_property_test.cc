@@ -9,6 +9,7 @@
 
 #include "data/flu.h"
 #include "graphical/bayesian_network.h"
+#include "pufferfish/mechanism.h"
 #include "pufferfish/mqm_approx.h"
 #include "pufferfish/mqm_exact.h"
 #include "pufferfish/wasserstein_mechanism.h"
@@ -51,8 +52,8 @@ TEST_P(WassersteinPrivacySweep, FluExampleSatisfiesPufferfish) {
   const double epsilon = GetParam();
   const FluCliqueModel clique = FluCliqueModel::PaperExample();
   const ConditionalOutputPair pair = clique.CountQueryOutputPair().ValueOrDie();
-  const auto mech = WassersteinMechanism::Make({pair}, epsilon).ValueOrDie();
-  ExpectRatioBounded(pair.mu_i, pair.mu_j, mech.noise_scale(), epsilon);
+  const auto plan = WassersteinUnified({pair}).Analyze(epsilon).ValueOrDie();
+  ExpectRatioBounded(pair.mu_i, pair.mu_j, plan.sigma, epsilon);
 }
 
 INSTANTIATE_TEST_SUITE_P(EpsilonRegimes, WassersteinPrivacySweep,
@@ -64,9 +65,7 @@ TEST(WassersteinPrivacyTest, UnderscaledNoiseViolatesBound) {
   const double epsilon = 1.0;
   const FluCliqueModel clique = FluCliqueModel::PaperExample();
   const ConditionalOutputPair pair = clique.CountQueryOutputPair().ValueOrDie();
-  const double w = WassersteinMechanism::Make({pair}, epsilon)
-                       .ValueOrDie()
-                       .wasserstein_sensitivity();
+  const double w = WassersteinSensitivity({pair}).ValueOrDie();
   const double cheating_scale = 0.4 * w / epsilon;
   bool violated = false;
   for (double out = -4.0; out <= 8.0; out += 0.02) {

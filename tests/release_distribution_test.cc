@@ -6,10 +6,8 @@
 
 #include <cmath>
 
-#include "baselines/group_dp.h"
-#include "baselines/laplace_dp.h"
 #include "graphical/bayesian_network.h"
-#include "pufferfish/markov_quilt_mechanism.h"
+#include "pufferfish/mechanism.h"
 #include "pufferfish/mqm_exact.h"
 #include "pufferfish/wasserstein_mechanism.h"
 
@@ -22,11 +20,13 @@ TEST(ReleaseDistributionTest, VectorReleaseMomentsMatchLaplace) {
   const double lipschitz = 0.1;
   const double sigma = 4.0;
   const double scale = lipschitz * sigma;
+  const auto plan = LaplaceDpUnified(sigma).Analyze(1.0).ValueOrDie();
   const int n = 60000;
   Vector mean(3, 0.0), meanabs(3, 0.0);
   double cross = 0.0;
   for (int t = 0; t < n; ++t) {
-    const Vector noisy = MqmReleaseVector(truth, lipschitz, sigma, &rng);
+    const Vector noisy =
+        ReleaseVector(plan, truth, lipschitz, &rng).ValueOrDie();
     for (std::size_t j = 0; j < 3; ++j) {
       mean[j] += noisy[j] - truth[j];
       meanabs[j] += std::fabs(noisy[j] - truth[j]);
@@ -43,11 +43,11 @@ TEST(ReleaseDistributionTest, VectorReleaseMomentsMatchLaplace) {
 
 TEST(ReleaseDistributionTest, MedianIsTruth) {
   Rng rng(2);
-  const auto mech = LaplaceDpMechanism::Make(1.0, 1.0).ValueOrDie();
+  const auto plan = LaplaceDpUnified(1.0).Analyze(1.0).ValueOrDie();
   int above = 0;
   const int n = 50000;
   for (int t = 0; t < n; ++t) {
-    if (mech.ReleaseScalar(10.0, &rng) > 10.0) ++above;
+    if (ReleaseVector(plan, {10.0}, 1.0, &rng).ValueOrDie()[0] > 10.0) ++above;
   }
   EXPECT_NEAR(above / static_cast<double>(n), 0.5, 0.01);
 }
@@ -55,11 +55,12 @@ TEST(ReleaseDistributionTest, MedianIsTruth) {
 TEST(ReleaseDistributionTest, TailDecayIsExponential) {
   // P(|noise| > t) = exp(-t / b) for Laplace(b).
   Rng rng(3);
-  const auto mech = GroupDpMechanism::Make(2.0, 1.0).ValueOrDie();  // b = 2.
+  const auto plan = GroupDpUnified(2.0).Analyze(1.0).ValueOrDie();  // b = 2.
   const int n = 200000;
   int beyond2 = 0, beyond4 = 0;
   for (int t = 0; t < n; ++t) {
-    const double err = std::fabs(mech.ReleaseScalar(0.0, &rng));
+    const double err =
+        std::fabs(ReleaseVector(plan, {0.0}, 1.0, &rng).ValueOrDie()[0]);
     if (err > 2.0) ++beyond2;
     if (err > 4.0) ++beyond4;
   }
@@ -120,11 +121,11 @@ TEST(CompositionDistributionTest, TwoReleasesStayWithinComposedBudget) {
 TEST(ReleaseDistributionTest, WassersteinReleaseReproducible) {
   const auto mu0 = DiscreteDistribution::FromMasses({0.5, 0.5}).ValueOrDie();
   const auto mu1 = DiscreteDistribution::FromMasses({0.2, 0.8}).ValueOrDie();
-  const auto mech =
-      WassersteinMechanism::Make({{mu0, mu1}}, 1.0).ValueOrDie();
+  const auto plan = WassersteinUnified({{mu0, mu1}}).Analyze(1.0).ValueOrDie();
   Rng a(9), b(9);
   for (int t = 0; t < 20; ++t) {
-    EXPECT_DOUBLE_EQ(mech.Release(1.0, &a), mech.Release(1.0, &b));
+    EXPECT_DOUBLE_EQ(ReleaseVector(plan, {1.0}, 1.0, &a).ValueOrDie()[0],
+                     ReleaseVector(plan, {1.0}, 1.0, &b).ValueOrDie()[0]);
   }
 }
 

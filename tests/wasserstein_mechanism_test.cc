@@ -6,6 +6,7 @@
 #include <numeric>
 
 #include "data/flu.h"
+#include "pufferfish/mechanism.h"
 
 namespace pf {
 namespace {
@@ -16,40 +17,45 @@ namespace {
 TEST(WassersteinMechanismTest, FluExampleSensitivityIsTwo) {
   const FluCliqueModel clique = FluCliqueModel::PaperExample();
   const ConditionalOutputPair pair = clique.CountQueryOutputPair().ValueOrDie();
-  const auto mech = WassersteinMechanism::Make({pair}, 1.0);
-  ASSERT_TRUE(mech.ok());
-  EXPECT_NEAR(mech.value().wasserstein_sensitivity(), 2.0, 1e-9);
-  EXPECT_NEAR(mech.value().noise_scale(), 2.0, 1e-9);
-  EXPECT_LT(mech.value().wasserstein_sensitivity(), clique.GroupSensitivity());
+  const auto plan = WassersteinUnified({pair}).Analyze(1.0);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_NEAR(plan.value().wasserstein_w, 2.0, 1e-9);
+  EXPECT_NEAR(plan.value().sigma, 2.0, 1e-9);
+  EXPECT_LT(plan.value().wasserstein_w, clique.GroupSensitivity());
 }
 
 TEST(WassersteinMechanismTest, NoiseScaleInverseInEpsilon) {
   const ConditionalOutputPair pair =
       FluCliqueModel::PaperExample().CountQueryOutputPair().ValueOrDie();
-  const auto tight = WassersteinMechanism::Make({pair}, 5.0).ValueOrDie();
-  const auto loose = WassersteinMechanism::Make({pair}, 0.2).ValueOrDie();
-  EXPECT_NEAR(tight.noise_scale(), 0.4, 1e-9);
-  EXPECT_NEAR(loose.noise_scale(), 10.0, 1e-9);
+  const WassersteinUnified mech({pair});
+  EXPECT_NEAR(mech.Analyze(5.0).ValueOrDie().sigma, 0.4, 1e-9);
+  EXPECT_NEAR(mech.Analyze(0.2).ValueOrDie().sigma, 10.0, 1e-9);
 }
 
 TEST(WassersteinMechanismTest, ValidatesInputs) {
   const ConditionalOutputPair pair =
       FluCliqueModel::PaperExample().CountQueryOutputPair().ValueOrDie();
-  EXPECT_FALSE(WassersteinMechanism::Make({}, 1.0).ok());
-  EXPECT_FALSE(WassersteinMechanism::Make({pair}, 0.0).ok());
+  EXPECT_FALSE(WassersteinSensitivity({}).ok());
+  EXPECT_FALSE(WassersteinUnified({}).Analyze(1.0).ok());
+  EXPECT_FALSE(WassersteinUnified({pair}).Analyze(0.0).ok());
+  // Epsilon is validated before the pairs.
+  const Status both_bad = WassersteinUnified({}).Analyze(0.0).status();
+  EXPECT_EQ(both_bad.ToString(),
+            WassersteinUnified({pair}).Analyze(0.0).status().ToString());
 }
 
 TEST(WassersteinMechanismTest, ReleaseAddsCalibratedNoise) {
   const ConditionalOutputPair pair =
       FluCliqueModel::PaperExample().CountQueryOutputPair().ValueOrDie();
-  const auto mech = WassersteinMechanism::Make({pair}, 1.0).ValueOrDie();
+  const auto plan = WassersteinUnified({pair}).Analyze(1.0).ValueOrDie();
   Rng rng(99);
   double abs_err = 0.0;
   const int n = 100000;
   for (int i = 0; i < n; ++i) {
-    abs_err += std::fabs(mech.Release(2.0, &rng) - 2.0);
+    abs_err +=
+        std::fabs(ReleaseVector(plan, {2.0}, 1.0, &rng).ValueOrDie()[0] - 2.0);
   }
-  EXPECT_NEAR(abs_err / n, mech.noise_scale(), 0.05);
+  EXPECT_NEAR(abs_err / n, plan.sigma, 0.05);
 }
 
 // When Pufferfish reduces to differential privacy (independent records), the
@@ -68,8 +74,7 @@ TEST(WassersteinMechanismTest, ReducesToLaplaceForIndependentRecords) {
   const auto pairs = EnumerateBayesNetOutputPairs({bn}, query);
   ASSERT_TRUE(pairs.ok());
   EXPECT_EQ(pairs.value().size(), 3u);
-  const auto mech = WassersteinMechanism::Make(pairs.value(), 1.0).ValueOrDie();
-  EXPECT_NEAR(mech.wasserstein_sensitivity(), 1.0, 1e-9);
+  EXPECT_NEAR(WassersteinSensitivity(pairs.value()).ValueOrDie(), 1.0, 1e-9);
 }
 
 // Theorem 3.3 check: W never exceeds the group-DP sensitivity. For a
@@ -83,8 +88,7 @@ TEST(WassersteinMechanismTest, PerfectCorrelationMatchesGroupSensitivity) {
     return static_cast<double>(a[0] + a[1]);
   };
   const auto pairs = EnumerateBayesNetOutputPairs({bn}, query).ValueOrDie();
-  const auto mech = WassersteinMechanism::Make(pairs, 1.0).ValueOrDie();
-  EXPECT_NEAR(mech.wasserstein_sensitivity(), 2.0, 1e-9);
+  EXPECT_NEAR(WassersteinSensitivity(pairs).ValueOrDie(), 2.0, 1e-9);
 }
 
 // Partial correlation gives W strictly between the DP sensitivity (1) and
@@ -97,9 +101,9 @@ TEST(WassersteinMechanismTest, PartialCorrelationBetweenBounds) {
     return static_cast<double>(a[0] + a[1]);
   };
   const auto pairs = EnumerateBayesNetOutputPairs({bn}, query).ValueOrDie();
-  const auto mech = WassersteinMechanism::Make(pairs, 1.0).ValueOrDie();
-  EXPECT_GE(mech.wasserstein_sensitivity(), 1.0 - 1e-9);
-  EXPECT_LE(mech.wasserstein_sensitivity(), 2.0 + 1e-9);
+  const double w = WassersteinSensitivity(pairs).ValueOrDie();
+  EXPECT_GE(w, 1.0 - 1e-9);
+  EXPECT_LE(w, 2.0 + 1e-9);
 }
 
 TEST(WassersteinMechanismTest, ConditionalOutputDistribution) {
@@ -136,16 +140,16 @@ TEST(WassersteinMechanismTest, MaxOverThetaClass) {
   const auto query = [](const Assignment& a) {
     return static_cast<double>(a[0] + a[1]);
   };
-  const auto weak_only =
-      WassersteinMechanism::Make(
-          EnumerateBayesNetOutputPairs({weak}, query).ValueOrDie(), 1.0)
+  const double weak_only =
+      WassersteinSensitivity(
+          EnumerateBayesNetOutputPairs({weak}, query).ValueOrDie())
           .ValueOrDie();
-  const auto both =
-      WassersteinMechanism::Make(
-          EnumerateBayesNetOutputPairs({weak, strong}, query).ValueOrDie(), 1.0)
+  const double both =
+      WassersteinSensitivity(
+          EnumerateBayesNetOutputPairs({weak, strong}, query).ValueOrDie())
           .ValueOrDie();
-  EXPECT_NEAR(weak_only.wasserstein_sensitivity(), 1.0, 1e-9);
-  EXPECT_NEAR(both.wasserstein_sensitivity(), 2.0, 1e-9);
+  EXPECT_NEAR(weak_only, 1.0, 1e-9);
+  EXPECT_NEAR(both, 2.0, 1e-9);
 }
 
 }  // namespace

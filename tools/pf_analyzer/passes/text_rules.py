@@ -1,10 +1,12 @@
-"""The six text rules folded in from tools/lint_invariants.py.
+"""The line-regex rules: the six folded in from tools/lint_invariants.py
+plus noise-site.
 
 These are line-regex rules over comment/string-stripped source — the
-pre-analyzer invariants that need no parse (and must keep working on hosts
-with no libclang, via `--regex-only`). Rule names, patterns, scoping, and
-exemptions are preserved exactly so existing `lint:allow(<rule>)` markers
-keep their meaning; the analyzer's pf:allow spelling is the successor.
+invariants that need no parse (and must keep working on hosts with no
+libclang, via `--regex-only`). The six legacy rules keep their names,
+patterns, scoping, and exemptions exactly so existing `lint:allow(<rule>)`
+markers keep their meaning; the analyzer's pf:allow spelling is the
+successor.
 """
 
 import os
@@ -82,6 +84,13 @@ def in_src(path):
     return path.startswith("src/") and path.endswith(CXX_EXTENSIONS)
 
 
+# The files that may draw Laplace noise: the sampler itself, the two release
+# functions of the plan (ReleaseVector, ReleaseBatchColumnar), and the
+# columnar noise kernel they call.
+NOISE_SITES = ("src/common/random.h", "src/common/random.cc",
+               "src/pufferfish/mechanism.cc", "src/engine/batch_kernels.cc")
+
+
 TEXT_RULES = [
     TextRule(
         "unseeded-randomness",
@@ -123,6 +132,14 @@ TEXT_RULES = [
         r"\b(?:std::)?(?:abort|_Exit|quick_exit)\s*\(|\b(?:std::)?exit\s*\(",
         in_src,
         "fallible serving paths return typed Status, never kill the process",
+    ),
+    TextRule(
+        "noise-site",
+        r"\bAddLaplaceNoise\s*\(|\bLaplaceInverseCdf\s*\("
+        r"|(?:\.|->)Laplace\s*\(",
+        lambda p: in_src(p) and p not in NOISE_SITES,
+        "noise is added only by ReleaseVector / ReleaseBatchColumnar "
+        "(pufferfish/mechanism.h), so every release is one audited primitive",
     ),
 ]
 

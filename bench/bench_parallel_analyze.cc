@@ -111,9 +111,9 @@ void BM_WarmAnalysisCache(benchmark::State& state) {
           .ValueOrDie();
   const MqmExactUnified mechanism({chain}, 2000);
   AnalysisCache cache;
-  const auto cold = cache.GetOrAnalyze(mechanism, kEpsilon).ValueOrDie();
+  const auto cold = cache.GetOrExtend(mechanism, kEpsilon).ValueOrDie();
   for (auto _ : state) {
-    const auto warm = cache.GetOrAnalyze(mechanism, kEpsilon).ValueOrDie();
+    const auto warm = cache.GetOrExtend(mechanism, kEpsilon).ValueOrDie();
     bench::DoNotOptimize(warm->sigma);
   }
   assert(cold->cache_hit_count() > 0);

@@ -7,6 +7,8 @@
 //    K releases at epsilon compose to K * epsilon (Theorem 4.4: they all
 //    share the one plan's active quilts), and the session ledger shows it.
 #include <cstdio>
+#include <future>
+#include <vector>
 
 #include "baselines/group_dp.h"
 #include "common/histogram.h"
@@ -121,8 +123,11 @@ int main() {
   pf::SessionOptions cohort_options;
   cohort_options.seed = 73;
   auto cohort_session = engine->CreateSession(cohort_options);
-  auto futures = cohort_session->SubmitBatch(
-      pf::QuerySpec::CountHistogram(epsilon), subjects);
+  std::vector<std::future<pf::Result<pf::ReleaseResult>>> futures;
+  for (const pf::StateSequence& subject : subjects) {
+    futures.push_back(
+        cohort_session->Submit(pf::QuerySpec::CountHistogram(epsilon), subject));
+  }
   std::printf("\nper-subject '%s' observation count (true vs released, "
               "first 5 subjects):\n",
               pf::ActivityStateName(0));

@@ -11,6 +11,8 @@
 // budget — every release is charged, and the session refuses to overspend.
 #include <algorithm>
 #include <cstdio>
+#include <future>
+#include <vector>
 
 #include "engine/engine.h"
 #include "graphical/markov_chain.h"
@@ -46,7 +48,10 @@ int main() {
   // queries served concurrently on the engine's pool.
   const pf::QuerySpec query = pf::QuerySpec::StateFrequency(1, /*epsilon=*/1.0);
   const pf::ReleaseResult noisy = session->Release(query, data).ValueOrDie();
-  auto week = session->SubmitBatch(query, std::vector<pf::StateSequence>(7, data));
+  std::vector<std::future<pf::Result<pf::ReleaseResult>>> week;
+  for (int day = 0; day < 7; ++day) {
+    week.push_back(session->Submit(query, data));
+  }
 
   const double truth = static_cast<double>(
                            std::count(data.begin(), data.end(), 1)) /

@@ -246,8 +246,7 @@ Result<CompiledBatchPlan> CompileColdBatchPlan(PrivacyEngine* engine,
       uq.compile_length = full ? model_length : length;
       bucket.push_back(u);
       lg.unique.push_back(std::move(uq));
-      plan.compiled.push_back(
-          {std::move(compiled.value().query), std::move(compiled.value().plan)});
+      plan.compiled.push_back(std::move(compiled).value());
     }
     lg.row_to_unique.push_back(u);
     ++lg.unique[u].num_rows;
@@ -568,7 +567,7 @@ Result<BatchReleaseResult> ExecuteBatchPlan(const CompiledBatchPlan& plan,
   // Noise: per-ticket Laplace streams (TicketNoiseSeed(seed, ticket)).
   std::vector<std::shared_ptr<const MechanismPlan>> plans;
   plans.reserve(plan.compiled.size());
-  for (const CompiledBatchQuery& c : plan.compiled) plans.push_back(c.plan);
+  for (const auto& c : plan.compiled) plans.push_back(c.plan);
   PF_RETURN_NOT_OK(ReleaseBatchColumnar(plans, seed, &batch));
 
   BatchReleaseResult result;

@@ -8,9 +8,9 @@
 // dumps both levels.
 //
 //     BatchQuerySpec
-//        |  PrepareBatchPlan     prepared-plan cache hit, or: engine
-//        |                       compile cache, one compile per unique
-//        |                       (window, spec); all-or-nothing
+//        |  PrepareBatchPlan     prepared-plan cache hit, or: one engine
+//        |                       Compile per unique (window, spec), sigma
+//        |                       from the AnalysisCache; all-or-nothing
 //        v
 //     CompiledBatchPlan          logical + physical + compiled plans
 //        |  ExecuteBatchPlan     aggregate -> derive -> clip -> noise,
@@ -30,9 +30,9 @@
 // and SimdLevel. Custom queries are evaluated through their compiled
 // std::function against the materialized window.
 //
-// Batch semantics are ALL-OR-NOTHING, unlike SubmitBatch's per-row
-// futures: a batch that fails to compile, mixes active quilts, or would
-// overrun the budget is refused whole, and nothing is charged.
+// Batch semantics are ALL-OR-NOTHING, unlike a loop of 1-row Submits: a
+// batch that fails to compile, mixes active quilts, or would overrun the
+// budget is refused whole, and nothing is charged.
 #ifndef PUFFERFISH_ENGINE_BATCH_PLAN_H_
 #define PUFFERFISH_ENGINE_BATCH_PLAN_H_
 
@@ -47,12 +47,11 @@
 #include "common/record_batch.h"
 #include "common/status.h"
 #include "engine/batch_kernels.h"
+#include "engine/privacy_engine.h"
 #include "engine/query_spec.h"
 #include "pufferfish/mechanism.h"
 
 namespace pf {
-
-class PrivacyEngine;
 
 /// \brief A contiguous window of a (growing) record for sliding-window
 /// queries: resolved against the database size at submit time. The engine
@@ -195,13 +194,6 @@ struct PhysicalBatchPlan {
   std::vector<DeriveNode> derives;
 };
 
-/// A unique query compiled against the engine's model (mirrors
-/// PrivacyEngine::CompiledQuery without depending on the engine header).
-struct CompiledBatchQuery {
-  VectorQuery query;
-  std::shared_ptr<const MechanismPlan> plan;
-};
-
 /// \brief A fully lowered batch: logical plan, physical plan, and the
 /// per-unique compiled (query, plan) pairs (index-aligned with
 /// logical.unique). Immutable once compiled; safe to execute from any
@@ -209,7 +201,7 @@ struct CompiledBatchQuery {
 struct CompiledBatchPlan {
   LogicalBatchPlan logical;
   PhysicalBatchPlan physical;
-  std::vector<CompiledBatchQuery> compiled;
+  std::vector<PrivacyEngine::CompiledQuery> compiled;
 
   std::size_t num_rows() const { return logical.row_to_unique.size(); }
 
@@ -236,21 +228,21 @@ struct BatchReleaseResult {
 /// A miss parses, resolves, dedupes, compiles, and lowers the batch against
 /// the engine's model. All-or-nothing: any row that fails to resolve or
 /// compile refuses the whole batch (with the row index chained into the
-/// error). The compile goes through the engine's compiled-query cache —
-/// one Compile per unique (window, spec), not per row — and honors
-/// `request` exactly like PrivacyEngine::Compile.
+/// error). It makes one PrivacyEngine::Compile per unique (window, spec),
+/// not per row, so every unique query's plan is an AnalysisCache lookup,
+/// and honors `request` exactly like Compile.
 ///
 /// A hit skips all of that. The cache is keyed by a fingerprint of every
 /// row's (spec, window) plus `data_size`; a candidate is served only after
 /// each row's window, resolved against `data_size`, equals its planned
 /// window and its spec has the planned unique query's compiled shape (the
 /// fields QuerySpec::CacheKey() encodes — custom queries are identified by
-/// their name, as in the compiled-query cache). A plan is stored on the
-/// second sighting of its shape within one model generation, invalidated
-/// by AppendObservations / SetRecordLength, and never stored when its
-/// compile overlapped one. The cache evicts FIFO past
-/// EngineOptions::cache_capacity plans or past a fixed budget of resident
-/// rows (the sum of num_rows() over stored plans), whichever comes first.
+/// their name). A plan is stored on the second sighting of its shape
+/// within one model generation, invalidated by AppendObservations /
+/// SetRecordLength, and never stored when its compile overlapped one. The
+/// cache evicts FIFO past EngineOptions::cache_capacity plans or past a
+/// fixed budget of resident rows (the sum of num_rows() over stored
+/// plans), whichever comes first.
 ///
 /// A stored plan is shared: its custom query bodies are called by every
 /// session that is served it, from any thread, at the same time (see

@@ -203,7 +203,7 @@ Result<std::unique_ptr<Mechanism>> BuildMechanism(const ModelSpec& model,
     }
     case MechanismKind::kWasserstein:
       return MakeMechanism<WassersteinUnified>(model.pairs,
-                                               options.wasserstein_backend);
+                                               WassersteinBackend::kQuantile);
     case MechanismKind::kMqmGeneral: {
       MqmAnalyzeOptions mqm;
       mqm.max_quilt_size = options.max_quilt_size;
@@ -222,8 +222,8 @@ Result<std::unique_ptr<Mechanism>> BuildMechanism(const ModelSpec& model,
       return MakeMechanism<MqmExactUnified>(model.chains, model.length, chain);
     }
     case MechanismKind::kMqmApprox: {
-      const ChainUnifiedOptions chain =
-          ChainOptions(options, options.approx_max_nearby, num_threads);
+      // Width 0: Lemma 4.9's automatic quilt width.
+      const ChainUnifiedOptions chain = ChainOptions(options, 0, num_threads);
       if (model.kind == ModelSpec::Kind::kChainSummary) {
         return MakeMechanism<MqmApproxUnified>(model.summary, model.length,
                                                chain);
@@ -377,13 +377,11 @@ Status PrivacyEngine::SetRecordLengthLocked(std::size_t new_length) {
       BuildMechanism(updated, options_, kind, executor_.num_threads()));
   model_ = std::move(updated);
   mechanism_ = std::move(mechanism);
-  // Bump the generation BEFORE clearing so a Compile racing this swap can
-  // never re-insert an entry compiled against the old length.
+  // Bump the generation BEFORE clearing so a batch plan compiled across
+  // this swap can never be stored against the new length.
   model_generation_.fetch_add(1, std::memory_order_release);
   {
-    MutexLock compiled_lock(compiled_mutex_);
-    compiled_.clear();
-    compiled_order_.clear();
+    MutexLock prepared_lock(prepared_mutex_);
     prepared_.clear();
     prepared_order_.clear();
     prepared_rows_ = 0;
@@ -394,7 +392,7 @@ Status PrivacyEngine::SetRecordLengthLocked(std::size_t new_length) {
 
 std::shared_ptr<const CompiledBatchPlan> PrivacyEngine::FindPreparedPlan(
     std::uint64_t shape, std::uint64_t* generation, bool* store) {
-  MutexLock lock(compiled_mutex_);
+  MutexLock lock(prepared_mutex_);
   // Read under the lock the swap path clears under: a generation read here
   // is never older than the cache contents, so a plan compiled after this
   // lookup and stored under it cannot outlive the next hot-swap.
@@ -413,9 +411,8 @@ void PrivacyEngine::StorePreparedPlan(
     std::shared_ptr<const CompiledBatchPlan> plan) {
   const std::size_t rows = plan->num_rows();
   if (rows > kPreparedPlanRows) return;
-  MutexLock lock(compiled_mutex_);
-  // Compile's rule: a plan whose compile overlapped a hot-swap is served
-  // but never cached.
+  MutexLock lock(prepared_mutex_);
+  // A plan whose compile overlapped a hot-swap is served but never cached.
   if (model_generation_.load(std::memory_order_acquire) != generation) return;
   // A racing thread may have stored the same shape first; keep its plan.
   if (!prepared_.try_emplace(shape, std::move(plan)).second) return;
@@ -499,17 +496,15 @@ Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
         .WithContext("compile " + spec.CacheKey());
   }
   PF_FAILPOINT("engine.compile");
-  // Snapshot the mutable model state once; the compiled entry is tagged
-  // with the generation so a hot-swap racing this compile can never be
-  // served a stale (wrong-length) entry later.
+  // Snapshot the mutable model state once: the query and the plan are
+  // compiled against the same record length even if a hot-swap races this
+  // compile.
   std::shared_ptr<const Mechanism> mechanism;
   std::size_t model_length = 0;
-  std::uint64_t generation = 0;
   {
     MutexLock lock(model_mutex_);
     mechanism = mechanism_;
     model_length = model_.length;
-    generation = model_generation_.load(std::memory_order_relaxed);
   }
   if (window_length > model_length) {
     return Status::InvalidArgument(
@@ -517,24 +512,8 @@ Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
         " observations exceeds the record length " +
         std::to_string(model_length));
   }
-  // A full-record window IS the full-record query: normalize so it hits
-  // the existing cache entry instead of compiling a duplicate.
-  if (window_length == model_length) window_length = 0;
   const std::size_t compile_length =
       window_length == 0 ? model_length : window_length;
-  // The window term is PREFIXED: CacheKey() ends with the free-form
-  // custom-query name, so a window suffix could collide with a full-record
-  // query whose name ends in "@wN". Keys always start with the fixed kind
-  // name, never '@', so the prefixed form is unambiguous.
-  const std::string key =
-      window_length == 0
-          ? spec.CacheKey()
-          : "@w" + std::to_string(window_length) + "/" + spec.CacheKey();
-  {
-    MutexLock lock(compiled_mutex_);
-    auto it = compiled_.find(key);
-    if (it != compiled_.end()) return it->second;
-  }
   PF_ASSIGN_OR_RETURN(
       VectorQuery query,
       CompileQuerySpec(spec, num_states_, compile_length));
@@ -577,28 +556,7 @@ Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
   if (!plan.ok()) {
     return plan.status().WithContext("compile " + spec.CacheKey());
   }
-  CompiledQuery compiled{std::move(query), std::move(plan).value()};
-  MutexLock lock(compiled_mutex_);
-  if (model_generation_.load(std::memory_order_acquire) != generation) {
-    // The model was hot-swapped while we compiled: serve the (still
-    // self-consistent) result but do not cache it under the new model.
-    return compiled;
-  }
-  auto [it, inserted] = compiled_.emplace(key, std::move(compiled));
-  if (inserted) {
-    // Bounded like the plan cache: compiled entries pin their plans, so
-    // letting this map grow per (shape, epsilon) forever would defeat
-    // cache_capacity's memory bound on a long-lived server.
-    compiled_order_.push_back(key);
-    if (options_.cache_capacity > 0) {
-      while (compiled_.size() > options_.cache_capacity &&
-             !compiled_order_.empty()) {
-        compiled_.erase(compiled_order_.front());
-        compiled_order_.pop_front();
-      }
-    }
-  }
-  return it->second;
+  return CompiledQuery{std::move(query), std::move(plan).value()};
 }
 
 std::unique_ptr<Session> PrivacyEngine::CreateSession(

@@ -9,8 +9,9 @@
 //        v
 //     engine->CreateSession(budget)  per-tenant ledger (Theorem 4.4)
 //        |
-//     session->Submit(QuerySpec, data)   compile once (cached), charge the
-//        |                               budget, release on the pool
+//     session->Submit(QuerySpec, data)   plan (prepared-plan cache; sigma
+//        |                               from the AnalysisCache), charge
+//        |                               the budget, release on the pool
 //        v
 //     future<Result<ReleaseResult>>
 //
@@ -89,19 +90,19 @@ struct ModelSpec {
 };
 
 /// Engine-wide knobs. Defaults serve: auto mechanism policy, hardware
-/// threads, bounded plan cache.
+/// threads, bounded caches.
 struct EngineOptions {
   /// Explicit mechanism override; nullopt selects by policy (see
   /// SelectMechanism). Overrides incompatible with the model fail Create.
   std::optional<MechanismKind> mechanism;
   /// Serving + analysis worker threads; 0 means hardware concurrency.
   std::size_t num_threads = 0;
-  /// AnalysisCache capacity (plans resident); 0 means unbounded.
+  /// Bounds both engine caches: the AnalysisCache (sigma plans resident)
+  /// and the prepared-plan cache (whole batch plans, which the prepared
+  /// cache also bounds by resident rows). 0 means unbounded.
   std::size_t cache_capacity = 1024;
   /// Quilt-width cap for MQMExact searches.
   std::size_t exact_max_nearby = 64;
-  /// Quilt-width cap for MQMApprox; 0 = Lemma 4.9 automatic width.
-  std::size_t approx_max_nearby = 0;
   /// Permit the Section 4.4.1 stationary-initial shortcut.
   bool allow_stationary_shortcut = true;
   /// Auto policy: chain classes longer than this use MQMApprox (whose
@@ -123,8 +124,6 @@ struct EngineOptions {
   /// (trees, stars, grids) pass at any node count; an explicit
   /// `mechanism` override bypasses the screen.
   std::size_t network_width_cutoff = 16;
-  /// Backend for the W_inf computation (Algorithm 1 models).
-  WassersteinBackend wasserstein_backend = WassersteinBackend::kQuantile;
   /// Executor queue bound: submissions beyond this many waiting tasks are
   /// shed with Unavailable (see ExecutorOptions::max_queue_depth; 0 =
   /// unbounded).
@@ -154,14 +153,15 @@ Result<MechanismKind> SelectMechanism(const ModelSpec& model,
                                       const EngineOptions& options);
 
 /// \brief Owns the model, the selected mechanism, the plan cache, the
-/// compiled-query cache, and the serving thread pool. Immutable after
+/// prepared-plan cache, and the serving thread pool. Immutable after
 /// Create apart from the caches and the record length (which
 /// AppendObservations / SetRecordLength hot-swap under a lock); safe to
 /// share across threads. Must outlive its Sessions.
 class PrivacyEngine {
  public:
   /// A query compiled against the engine's model: the concrete vector
-  /// query plus the (cached) plan serving it.
+  /// query plus the (cached) plan serving it. A CompiledBatchPlan holds one
+  /// per unique query.
   struct CompiledQuery {
     VectorQuery query;
     std::shared_ptr<const MechanismPlan> plan;
@@ -188,7 +188,7 @@ class PrivacyEngine {
   std::size_t num_threads() const { return executor_.num_threads(); }
 
   /// \brief Grows the model's record length by `delta` observations — the
-  /// streaming / continual-release path. The compiled-query cache is
+  /// streaming / continual-release path. The prepared-plan cache is
   /// invalidated (compiled Lipschitz constants and plans are
   /// length-dependent), but cached MQMExact analyses are NOT discarded:
   /// the next Compile at the new length EXTENDS the retained resumable
@@ -211,7 +211,9 @@ class PrivacyEngine {
 
   /// \brief Compiles a declarative query to (VectorQuery, MechanismPlan),
   /// analyzing at the spec's epsilon at most once per (model, epsilon):
-  /// both the plan (AnalysisCache) and the compiled pair are cached.
+  /// the plan comes from the AnalysisCache, so a repeated Compile is a
+  /// cache hit. The query is rebuilt on every call; callers that resubmit
+  /// a shape get it from the prepared-plan cache (PrepareBatchPlan).
   ///
   /// A nonzero `window_length` compiles against a window of that many
   /// observations instead of the full record: built-in Lipschitz constants
@@ -318,7 +320,7 @@ class PrivacyEngine {
   /// `shape` this generation; a first sighting is only remembered.
   std::shared_ptr<const CompiledBatchPlan> FindPreparedPlan(
       std::uint64_t shape, std::uint64_t* generation, bool* store)
-      PF_EXCLUDES(compiled_mutex_);
+      PF_EXCLUDES(prepared_mutex_);
 
   /// \brief Stores a freshly compiled plan under `shape` — unless the model
   /// was hot-swapped since `generation` (the compile may straddle two
@@ -327,22 +329,22 @@ class PrivacyEngine {
   /// never stored.
   void StorePreparedPlan(std::uint64_t shape, std::uint64_t generation,
                          std::shared_ptr<const CompiledBatchPlan> plan)
-      PF_EXCLUDES(compiled_mutex_);
+      PF_EXCLUDES(prepared_mutex_);
 
   /// Body of SetRecordLength.
   Status SetRecordLengthLocked(std::size_t new_length)
       PF_REQUIRES(model_mutex_);
 
-  /// Lock order: model_mutex_ before compiled_mutex_ (the hot-swap path
+  /// Lock order: model_mutex_ before prepared_mutex_ (the hot-swap path
   /// nests them that way); nothing acquires model_mutex_ while holding
-  /// compiled_mutex_.
+  /// prepared_mutex_.
   ///
   /// model_.length and mechanism_ are the only mutable model state; both
   /// are guarded by model_mutex_ (everything else in model_ is immutable
   /// after Create — immutable fields read on unlocked paths are
   /// snapshotted into const members below). model_generation_ tags
-  /// compiled-cache entries so a Compile racing a hot-swap can never
-  /// insert a stale entry.
+  /// prepared plans so a batch compile racing a hot-swap can never store a
+  /// stale plan.
   mutable Mutex model_mutex_;
   ModelSpec model_ PF_GUARDED_BY(model_mutex_);
   const EngineOptions options_;
@@ -350,32 +352,26 @@ class PrivacyEngine {
   /// without model_mutex_.
   const std::size_t num_states_;
   std::shared_ptr<const Mechanism> mechanism_ PF_GUARDED_BY(model_mutex_);
-  /// Atomic so the compiled-cache insert can re-check it without nesting
-  /// model_mutex_ inside compiled_mutex_ (the swap path nests the other
+  /// Atomic so StorePreparedPlan can re-check it without nesting
+  /// model_mutex_ inside prepared_mutex_ (the swap path nests the other
   /// way). Written only under model_mutex_.
   std::atomic<std::uint64_t> model_generation_{0};
   AnalysisCache cache_;
   Executor executor_;
 
-  mutable Mutex compiled_mutex_;
-  std::unordered_map<std::string, CompiledQuery> compiled_
-      PF_GUARDED_BY(compiled_mutex_);
-  /// FIFO eviction order for compiled_ (bounded by options_.cache_capacity
-  /// like the plan cache: compiled entries pin their plans, so an
-  /// unbounded map would defeat the plan cache's memory bound).
-  std::deque<std::string> compiled_order_ PF_GUARDED_BY(compiled_mutex_);
+  mutable Mutex prepared_mutex_;
   /// Prepared batch plans by batch-shape fingerprint (see PrepareBatchPlan
   /// in engine/batch_plan.h): the whole compiled plan, so a resubmitted
-  /// shape binds only tickets, seed and data. Invalidated with compiled_;
+  /// shape binds only tickets, seed and data. Invalidated by a hot-swap;
   /// FIFO by prepared_order_, bounded by cache_capacity plans and by
   /// kPreparedPlanRows resident rows. A plan's size grows with its rows
   /// (per-row vectors, a spec and a compiled query per unique query), so
   /// the row budget, not the plan count, bounds the cache's memory.
   std::unordered_map<std::uint64_t, std::shared_ptr<const CompiledBatchPlan>>
-      prepared_ PF_GUARDED_BY(compiled_mutex_);
-  std::deque<std::uint64_t> prepared_order_ PF_GUARDED_BY(compiled_mutex_);
+      prepared_ PF_GUARDED_BY(prepared_mutex_);
+  std::deque<std::uint64_t> prepared_order_ PF_GUARDED_BY(prepared_mutex_);
   /// Sum of num_rows() over prepared_.
-  std::size_t prepared_rows_ PF_GUARDED_BY(compiled_mutex_) = 0;
+  std::size_t prepared_rows_ PF_GUARDED_BY(prepared_mutex_) = 0;
   /// Twice the rows of perfbench columnar's 16 resident 1024-row plans;
   /// about 15 MiB when every row is a distinct custom query
   /// (BM_PreparedCacheFill).
@@ -392,7 +388,7 @@ class PrivacyEngine {
   /// more cold compile.
   static constexpr std::size_t kSightedShapes = 256;
   std::array<std::uint64_t, kSightedShapes> prepared_sighted_
-      PF_GUARDED_BY(compiled_mutex_) = {};
+      PF_GUARDED_BY(prepared_mutex_) = {};
   std::atomic<std::uint64_t> session_seed_state_;
 };
 

@@ -143,7 +143,7 @@ Status QuerySpec::Validate() const {
     }
     if (name.empty()) {
       return Status::InvalidArgument(
-          "custom queries need a unique name (the compiled-query cache key)");
+          "custom queries need a unique name (it identifies the query)");
     }
   }
   return Status::OK();

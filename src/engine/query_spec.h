@@ -52,7 +52,7 @@ const char* QueryKindName(QueryKind kind);
 ///
 /// Construct via the factories; a default-constructed spec is kSum at
 /// epsilon 1. Two specs with the same CacheKey() compile identically, which
-/// is what the engine's compiled-query cache relies on — so custom queries
+/// is what the engine's prepared-plan cache relies on — so custom queries
 /// must carry a caller-chosen unique name.
 struct QuerySpec {
   QueryKind kind = QueryKind::kSum;
@@ -60,7 +60,7 @@ struct QuerySpec {
   double epsilon = 1.0;
   /// State index for kStateFrequency.
   int state = 0;
-  /// Name for custom queries (part of the compiled-query cache key).
+  /// Name for custom queries (part of CacheKey(), which identifies them).
   std::string name;
   /// Custom query bodies (exactly one set, matching the kind). They must be
   /// safe to call concurrently: a prepared batch plan (PrepareBatchPlan in

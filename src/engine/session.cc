@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/failpoint.h"
+#include "pufferfish/framework.h"
 
 namespace pf {
 
@@ -111,8 +112,11 @@ Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
   PF_FAILPOINT("session.charge");
   // A plan that can never release (GK16 outside its spectral condition, a
   // non-finite noise scale) must be refused *before* charging: the failed
-  // release would produce nothing, so it must not burn budget.
-  for (const CompiledBatchQuery& q : plan.compiled) {
+  // release would produce nothing, so it must not burn budget. Every row
+  // releases one of these plans, so their epsilons, validated here, are the
+  // rows' and their max is the plan's.
+  double plan_max = 0.0;
+  for (const PrivacyEngine::CompiledQuery& q : plan.compiled) {
     const MechanismPlan& mp = *q.plan;
     if (!mp.applicable || !std::isfinite(mp.sigma) || mp.sigma < 0.0) {
       return Status::FailedPrecondition(
@@ -120,10 +124,12 @@ Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
           " has no finite noise scale (inapplicable for this model class); "
           "nothing was charged");
     }
+    PF_RETURN_NOT_OK(ValidatePrivacyParams({mp.epsilon}));
+    plan_max = std::max(plan_max, mp.epsilon);
   }
   // Theorem 4.4's precondition, checked across the plan before touching
   // the ledger: every row must release under one active quilt (which
-  // RecordBatchStrict then checks against the ledger's earlier releases).
+  // RecordStrict then checks against the ledger's earlier releases).
   const MarkovQuilt quilt = PlanActiveQuilt(*plan.compiled.front().plan);
   for (std::size_t u = 1; u < plan.compiled.size(); ++u) {
     if (!SameQuiltIdentity(quilt, PlanActiveQuilt(*plan.compiled[u].plan))) {
@@ -143,15 +149,6 @@ Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
   // never a genuine overrun, so a budget of B admits exactly
   // floor(B / eps) equal-epsilon releases on every platform.
   const std::size_t rows = plan.num_rows();
-  std::vector<double> epsilons;
-  epsilons.reserve(rows);
-  double plan_max = 0.0;
-  for (std::size_t r = 0; r < rows; ++r) {
-    const double eps =
-        plan.compiled[plan.logical.row_to_unique[r]].plan->epsilon;
-    epsilons.push_back(eps);
-    plan_max = std::max(plan_max, eps);
-  }
   MutexLock lock(mutex_);
   const double max_epsilon = std::max(accountant_.MaxEpsilon(), plan_max);
   const double budget = options_.epsilon_budget;
@@ -168,7 +165,7 @@ Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
   // Records only if the active quilt matches every earlier release
   // (Theorem 4.4's precondition); a mismatch refuses with
   // FailedPrecondition and charges nothing.
-  PF_RETURN_NOT_OK(accountant_.RecordBatchStrict(epsilons, quilt));
+  PF_RETURN_NOT_OK(accountant_.RecordStrict(rows, plan_max, quilt));
   const std::uint64_t first = next_ticket_;
   next_ticket_ += rows;
   return first;
@@ -252,24 +249,6 @@ std::future<Result<ReleaseResult>> Session::Submit(
                 std::make_shared<const StateSequence>(
                     begin, begin + static_cast<std::ptrdiff_t>(length)),
                 DataWindow::Range(0, length), request);
-}
-
-std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
-    const std::vector<QuerySpec>& specs, const StateSequence& data) {
-  // One wrapped copy shared by every task instead of one copy per query.
-  auto shared = std::make_shared<const StateSequence>(data);
-  std::vector<std::future<Result<ReleaseResult>>> futures;
-  futures.reserve(specs.size());
-  for (const QuerySpec& spec : specs) futures.push_back(Submit(spec, shared));
-  return futures;
-}
-
-std::vector<std::future<Result<ReleaseResult>>> Session::SubmitBatch(
-    const QuerySpec& spec, const std::vector<StateSequence>& batch) {
-  std::vector<std::future<Result<ReleaseResult>>> futures;
-  futures.reserve(batch.size());
-  for (const StateSequence& data : batch) futures.push_back(Submit(spec, data));
-  return futures;
 }
 
 std::future<Result<BatchReleaseResult>> Session::SubmitColumnar(

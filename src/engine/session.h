@@ -11,7 +11,6 @@
 //     Release(spec, data[, window[, request]])        1-row plan, caller thread
 //     Submit(spec, data | shared_ptr[, window[, request]])
 //                                                     1-row plan, executor
-//     SubmitBatch(specs, data) / (spec, databases)    one Submit per row
 //     SubmitColumnar(batch, data[, request])          N-row plan, executor
 //
 // Each plans (PrepareBatchPlan: a resubmitted shape is a prepared-plan
@@ -32,7 +31,6 @@
 #include <limits>
 #include <memory>
 #include <optional>
-#include <vector>
 
 #include "common/matrix.h"
 #include "common/status.h"
@@ -120,22 +118,13 @@ class Session {
       const DataWindow& window = DataWindow::All(),
       const RequestOptions& request = {});
 
-  /// Many queries against one database: one Submit per spec over one
-  /// shared copy of `data`, one future per row. Unlike SubmitColumnar, rows
-  /// are admitted and charged independently.
-  std::vector<std::future<Result<ReleaseResult>>> SubmitBatch(
-      const std::vector<QuerySpec>& specs, const StateSequence& data);
-
-  /// One query against many databases (per-subject fan-out).
-  std::vector<std::future<Result<ReleaseResult>>> SubmitBatch(
-      const QuerySpec& spec, const std::vector<StateSequence>& batch);
-
   /// \brief The columnar batch path: admits, prices the WHOLE batch under
   /// one Theorem 4.4 composed charge, and returns a single future over a
-  /// struct-of-arrays result batch. All-or-nothing, unlike SubmitBatch's
-  /// per-row futures: a batch that fails to compile, mixes active quilts,
-  /// would overrun the budget, or is shed (queue full, in-flight cap,
-  /// cold-shed policy) is refused whole and debits NOTHING. Admission
+  /// struct-of-arrays result batch. All-or-nothing, unlike a loop of
+  /// Submits (each row admitted and charged on its own): a batch that
+  /// fails to compile, mixes active quilts, would overrun the budget, or is
+  /// shed (queue full, in-flight cap, cold-shed policy) is refused whole
+  /// and debits NOTHING. Admission
   /// strictly precedes accounting, exactly like Submit. Row i releases
   /// under ticket first + i, drawing from the same per-ticket noise stream
   /// a 1-row Submit would — released values are bit-identical to

@@ -44,25 +44,6 @@ bool AnalysisCache::Contains(const Mechanism& mechanism,
   return plans_.find(key) != plans_.end();
 }
 
-Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::GetOrAnalyze(
-    const Mechanism& mechanism, double epsilon) {
-  const Key key{mechanism.Fingerprint(), DoubleBits(epsilon),
-                mechanism.kind()};
-  if (auto found = TryGetPlan(key)) return found;
-  return AnalyzeAndStore(mechanism, epsilon, key);
-}
-
-Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::AnalyzeAndStore(
-    const Mechanism& mechanism, double epsilon, const Key& key) {
-  PF_FAILPOINT("analysis_cache.analyze");
-  // Analyze outside the lock: analyses of different keys overlap, and a
-  // duplicated analysis of the same key is merely wasted work, not an error.
-  Result<MechanismPlan> plan = mechanism.Analyze(epsilon);
-  if (!plan.ok()) return plan.status().WithContext("cold analysis");
-  return StorePlan(key,
-                   std::make_shared<const MechanismPlan>(std::move(plan).value()));
-}
-
 std::shared_ptr<const MechanismPlan> AnalysisCache::StorePlan(
     const Key& key, std::shared_ptr<const MechanismPlan> plan) {
   std::shared_ptr<const MechanismPlan> winner;
@@ -98,7 +79,14 @@ Result<std::shared_ptr<const MechanismPlan>> AnalysisCache::GetOrExtend(
   const std::uint64_t prefix = mechanism.PrefixFingerprint();
   const std::size_t target_length = mechanism.ExtendableLength();
   if (prefix == 0 || target_length == 0) {
-    return AnalyzeAndStore(mechanism, epsilon, key);
+    // No resumable analysis: a cold Analyze. It runs outside the lock, so
+    // analyses of different keys overlap; a duplicated analysis of the
+    // same key is merely wasted work, not an error.
+    PF_FAILPOINT("analysis_cache.analyze");
+    Result<MechanismPlan> plan = mechanism.Analyze(epsilon);
+    if (!plan.ok()) return plan.status().WithContext("cold analysis");
+    return StorePlan(
+        key, std::make_shared<const MechanismPlan>(std::move(plan).value()));
   }
   // Exact miss: find (or create) the chain entry for the length-free model
   // at this epsilon. The map lock only covers the lookup; the per-entry

@@ -56,25 +56,22 @@ class AnalysisCache {
   AnalysisCache(const AnalysisCache&) = delete;
   AnalysisCache& operator=(const AnalysisCache&) = delete;
 
-  /// \brief Returns the cached plan for (mechanism, epsilon) or runs
-  /// mechanism.Analyze(epsilon), stores, and returns it. The analysis runs
-  /// outside the cache lock, so slow analyses of *different* keys proceed
-  /// concurrently (the loser of a duplicate-key race discards its result).
-  /// Safe to call from any number of threads; the per-plan hit counter and
-  /// the hit/miss stats are bumped outside the lock (relaxed atomics), so
-  /// concurrent hits on one hot plan never serialize on the cache mutex.
-  Result<std::shared_ptr<const MechanismPlan>> GetOrAnalyze(
-      const Mechanism& mechanism, double epsilon);
-
-  /// \brief GetOrAnalyze with prefix-fingerprint chaining for growing
-  /// records: on an exact-key miss, if the mechanism has a resumable
-  /// analysis (Mechanism::PrefixFingerprint() != 0) the cache looks up the
+  /// \brief Returns the cached plan for (mechanism, epsilon), or computes,
+  /// stores, and returns it. On an exact-key miss, a mechanism without a
+  /// resumable analysis (Mechanism::PrefixFingerprint() == 0) runs
+  /// mechanism.Analyze(epsilon). A resumable one instead looks up the
   /// retained analysis for (length-free model, epsilon) and ExtendTo()s it
   /// to the mechanism's current length — bit-identical to a cold Analyze,
   /// but O(max_nearby + delta) instead of O(T) (stats().extensions counts
   /// these). A missing or longer-than-target chain entry falls back to a
-  /// cold resumable analysis, which seeds the chain for future appends;
-  /// mechanisms without resumable support behave exactly like GetOrAnalyze.
+  /// cold resumable analysis, which seeds the chain for future appends.
+  ///
+  /// Analyses run outside the cache lock, so slow analyses of *different*
+  /// keys proceed concurrently (the loser of a duplicate-key race discards
+  /// its result). Safe to call from any number of threads; the per-plan hit
+  /// counter and the hit/miss stats are bumped outside the lock (relaxed
+  /// atomics), so concurrent hits on one hot plan never serialize on the
+  /// cache mutex.
   Result<std::shared_ptr<const MechanismPlan>> GetOrExtend(
       const Mechanism& mechanism, double epsilon);
 
@@ -141,14 +138,9 @@ class AnalysisCache {
     std::unique_ptr<ResumableAnalysis> analysis PF_GUARDED_BY(mutex);
   };
 
-  /// The exact-key hit path shared by GetOrAnalyze and GetOrExtend:
-  /// returns the cached plan (bumping hit counters) or nullptr.
+  /// The exact-key hit path of GetOrExtend: returns the cached plan
+  /// (bumping hit counters) or nullptr.
   std::shared_ptr<const MechanismPlan> TryGetPlan(const Key& key);
-
-  /// The exact-key miss path shared by GetOrAnalyze and GetOrExtend: runs
-  /// mechanism.Analyze(epsilon) and stores the result under `key`.
-  Result<std::shared_ptr<const MechanismPlan>> AnalyzeAndStore(
-      const Mechanism& mechanism, double epsilon, const Key& key);
 
   /// Stores `plan` under the exact key (duplicate-insert race keeps the
   /// incumbent) and returns the stored plan, bumping hit/miss stats.

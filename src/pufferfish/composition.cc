@@ -1,5 +1,6 @@
 #include "pufferfish/composition.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -34,15 +35,14 @@ std::string CompositionAccountant::QuiltSignature(const MarkovQuilt& q) {
   return sig;
 }
 
-Status CompositionAccountant::RecordBatchStrict(
-    const std::vector<double>& epsilons, const MarkovQuilt& active_quilt) {
+Status CompositionAccountant::RecordStrict(std::size_t count,
+                                           double max_epsilon,
+                                           const MarkovQuilt& active_quilt) {
   // Validate everything BEFORE mutating: all-or-nothing is the contract.
   // Shared with every mechanism's Analyze: the ledger and the mechanisms
   // must agree on what a valid epsilon is.
-  for (double epsilon : epsilons) {
-    PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  }
-  if (epsilons.empty()) return Status::OK();
+  PF_RETURN_NOT_OK(ValidatePrivacyParams({max_epsilon}));
+  if (count == 0) return Status::OK();
   const std::string sig = QuiltSignature(active_quilt);
   if (num_releases_ != 0 && sig != first_signature_) {
     return Status::FailedPrecondition(
@@ -51,16 +51,25 @@ Status CompositionAccountant::RecordBatchStrict(
         "serve it from a separate session");
   }
   if (num_releases_ == 0) first_signature_ = sig;
-  num_releases_ += epsilons.size();
-  for (double epsilon : epsilons) {
-    if (epsilon > max_epsilon_) max_epsilon_ = epsilon;
-  }
+  num_releases_ += count;
+  if (max_epsilon > max_epsilon_) max_epsilon_ = max_epsilon;
   return Status::OK();
+}
+
+Status CompositionAccountant::RecordBatchStrict(
+    const std::vector<double>& epsilons, const MarkovQuilt& active_quilt) {
+  if (epsilons.empty()) return Status::OK();
+  double max_epsilon = epsilons.front();
+  for (double epsilon : epsilons) {
+    PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
+    max_epsilon = std::max(max_epsilon, epsilon);
+  }
+  return RecordStrict(epsilons.size(), max_epsilon, active_quilt);
 }
 
 Status CompositionAccountant::RecordReleaseStrict(
     double epsilon, const MarkovQuilt& active_quilt) {
-  return RecordBatchStrict({epsilon}, active_quilt);
+  return RecordStrict(1, epsilon, active_quilt);
 }
 
 double CompositionAccountant::TotalEpsilon() const {

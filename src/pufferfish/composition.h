@@ -62,17 +62,24 @@ class CompositionAccountant {
   /// *refuse* a Theorem 4.4 violation up front.
   [[nodiscard]] bool MatchesActiveQuilt(const MarkovQuilt& quilt) const;
 
-  /// \brief Records every release in `epsilons` (all sharing
-  /// `active_quilt` — the caller verifies that, Theorem 4.4's
-  /// precondition) or none of them. Any invalid epsilon (non-positive or
-  /// non-finite: InvalidArgument) or a quilt mismatch with the ledger's
-  /// earlier releases (FailedPrecondition) refuses the whole batch with the
-  /// ledger untouched — the columnar serving path relies on this so a
-  /// refused batch never debits partial epsilon.
+  /// \brief Records `count` releases whose largest epsilon is
+  /// `max_epsilon`, all sharing `active_quilt` (the caller verifies that,
+  /// Theorem 4.4's precondition, and that every smaller epsilon is valid),
+  /// or none of them: only K and the max enter the composed level. An
+  /// invalid `max_epsilon` (non-positive or non-finite: InvalidArgument) or
+  /// a quilt mismatch with the ledger's earlier releases
+  /// (FailedPrecondition) refuses them all with the ledger untouched, so a
+  /// refused batch never debits partial epsilon. `count` = 0 records
+  /// nothing.
+  Status RecordStrict(std::size_t count, double max_epsilon,
+                      const MarkovQuilt& active_quilt);
+
+  /// Every release in `epsilons`, or none: validates each entry, then
+  /// RecordStrict(epsilons.size(), max, active_quilt).
   Status RecordBatchStrict(const std::vector<double>& epsilons,
                            const MarkovQuilt& active_quilt);
 
-  /// One release: RecordBatchStrict({epsilon}, active_quilt).
+  /// One release: RecordStrict(1, epsilon, active_quilt).
   Status RecordReleaseStrict(double epsilon, const MarkovQuilt& active_quilt);
 
   /// Forgets all recorded releases.

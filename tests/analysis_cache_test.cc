@@ -20,12 +20,12 @@ MarkovChain TestChain(double p0, double p1) {
 TEST(AnalysisCacheTest, SecondAnalyzeWithIdenticalInputsIsCached) {
   AnalysisCache cache;
   const MqmExactUnified mechanism({TestChain(0.8, 0.7)}, 100);
-  const auto first = cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+  const auto first = cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
   EXPECT_EQ(first->cache_hit_count(), 0u);
   EXPECT_EQ(cache.stats().misses, 1u);
   EXPECT_EQ(cache.stats().hits, 0u);
 
-  const auto second = cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+  const auto second = cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
   // Same shared plan object, not a recomputation.
   EXPECT_EQ(first.get(), second.get());
   EXPECT_EQ(second->cache_hit_count(), 1u);
@@ -39,8 +39,8 @@ TEST(AnalysisCacheTest, EquivalentMechanismObjectHitsToo) {
   AnalysisCache cache;
   const MqmExactUnified a({TestChain(0.8, 0.7)}, 100);
   const MqmExactUnified b({TestChain(0.8, 0.7)}, 100);
-  const auto plan_a = cache.GetOrAnalyze(a, 1.0).ValueOrDie();
-  const auto plan_b = cache.GetOrAnalyze(b, 1.0).ValueOrDie();
+  const auto plan_a = cache.GetOrExtend(a, 1.0).ValueOrDie();
+  const auto plan_b = cache.GetOrExtend(b, 1.0).ValueOrDie();
   EXPECT_EQ(plan_a.get(), plan_b.get());
   EXPECT_EQ(plan_b->cache_hit_count(), 1u);
 }
@@ -48,8 +48,8 @@ TEST(AnalysisCacheTest, EquivalentMechanismObjectHitsToo) {
 TEST(AnalysisCacheTest, DifferentEpsilonMisses) {
   AnalysisCache cache;
   const MqmExactUnified mechanism({TestChain(0.8, 0.7)}, 100);
-  const auto eps1 = cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
-  const auto eps2 = cache.GetOrAnalyze(mechanism, 2.0).ValueOrDie();
+  const auto eps1 = cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
+  const auto eps2 = cache.GetOrExtend(mechanism, 2.0).ValueOrDie();
   EXPECT_NE(eps1.get(), eps2.get());
   EXPECT_GT(eps1->sigma, eps2->sigma);  // Less privacy, less noise.
   EXPECT_EQ(cache.stats().misses, 2u);
@@ -63,9 +63,9 @@ TEST(AnalysisCacheTest, DifferentModelOrWidthMisses) {
   ChainUnifiedOptions narrow;
   narrow.max_nearby = 4;
   const MqmExactUnified other_width({TestChain(0.8, 0.7)}, 100, narrow);
-  (void)cache.GetOrAnalyze(base, 1.0).ValueOrDie();
-  (void)cache.GetOrAnalyze(other_model, 1.0).ValueOrDie();
-  (void)cache.GetOrAnalyze(other_width, 1.0).ValueOrDie();
+  (void)cache.GetOrExtend(base, 1.0).ValueOrDie();
+  (void)cache.GetOrExtend(other_model, 1.0).ValueOrDie();
+  (void)cache.GetOrExtend(other_width, 1.0).ValueOrDie();
   EXPECT_EQ(cache.stats().misses, 3u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 3u);
@@ -74,15 +74,15 @@ TEST(AnalysisCacheTest, DifferentModelOrWidthMisses) {
 TEST(AnalysisCacheTest, FailedAnalysisIsNotCached) {
   AnalysisCache cache;
   const LaplaceDpUnified bad(-1.0);  // Invalid sensitivity: Analyze fails.
-  EXPECT_FALSE(cache.GetOrAnalyze(bad, 1.0).ok());
+  EXPECT_FALSE(cache.GetOrExtend(bad, 1.0).ok());
   EXPECT_EQ(cache.size(), 0u);
 }
 
 TEST(AnalysisCacheTest, ClearResetsEverything) {
   AnalysisCache cache;
   const LaplaceDpUnified mechanism(1.0);
-  (void)cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
-  (void)cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+  (void)cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
+  (void)cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.stats().hits, 0u);
@@ -92,17 +92,17 @@ TEST(AnalysisCacheTest, ClearResetsEverything) {
 TEST(AnalysisCacheTest, BoundedCacheEvictsOldestFirst) {
   AnalysisCache cache(/*max_entries=*/2);
   const LaplaceDpUnified mechanism(1.0);
-  (void)cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
-  (void)cache.GetOrAnalyze(mechanism, 2.0).ValueOrDie();
-  (void)cache.GetOrAnalyze(mechanism, 3.0).ValueOrDie();  // Evicts eps=1.
+  (void)cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
+  (void)cache.GetOrExtend(mechanism, 2.0).ValueOrDie();
+  (void)cache.GetOrExtend(mechanism, 3.0).ValueOrDie();  // Evicts eps=1.
   EXPECT_EQ(cache.size(), 2u);
-  const auto again = cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+  const auto again = cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
   EXPECT_EQ(again->cache_hit_count(), 0u);  // Re-analyzed, not served warm.
-  const auto newest = cache.GetOrAnalyze(mechanism, 3.0).ValueOrDie();
+  const auto newest = cache.GetOrExtend(mechanism, 3.0).ValueOrDie();
   EXPECT_EQ(newest->cache_hit_count(), 1u);  // eps=3 survived eviction.
 }
 
-TEST(AnalysisCacheTest, ConcurrentGetOrAnalyzeServesOnePlan) {
+TEST(AnalysisCacheTest, ConcurrentGetOrExtendServesOnePlan) {
   AnalysisCache cache;
   const MqmExactUnified mechanism({TestChain(0.9, 0.8)}, 50);
   std::vector<std::shared_ptr<const MechanismPlan>> plans(8);
@@ -111,7 +111,7 @@ TEST(AnalysisCacheTest, ConcurrentGetOrAnalyzeServesOnePlan) {
     threads.reserve(plans.size());
     for (std::size_t t = 0; t < plans.size(); ++t) {
       threads.emplace_back([&, t] {
-        plans[t] = cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+        plans[t] = cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
       });
     }
     for (std::thread& th : threads) th.join();
@@ -193,7 +193,7 @@ TEST(AnalysisCacheTest, GetOrExtendFreeInitialAndFallbacks) {
   ExpectPlansBitIdentical(*shrunk, at60.Analyze(1.0).ValueOrDie());
   EXPECT_EQ(cache.stats().extensions, 1u);
 
-  // Mechanisms without resumable analyses degrade to GetOrAnalyze.
+  // Mechanisms without resumable analyses degrade to a cold Analyze.
   const LaplaceDpUnified laplace(1.0);
   EXPECT_EQ(laplace.PrefixFingerprint(), 0u);
   const auto a = cache.GetOrExtend(laplace, 1.0).ValueOrDie();
@@ -243,7 +243,7 @@ TEST(AnalysisCacheTest, ConcurrentHitsCountExactly) {
   // cache mutex (relaxed atomics); nothing may be lost or double-counted.
   AnalysisCache cache;
   const LaplaceDpUnified mechanism(1.0);
-  (void)cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();  // Warm: one miss.
+  (void)cache.GetOrExtend(mechanism, 1.0).ValueOrDie();  // Warm: one miss.
   constexpr std::size_t kThreads = 8;
   constexpr std::size_t kHitsPerThread = 500;
   {
@@ -252,13 +252,13 @@ TEST(AnalysisCacheTest, ConcurrentHitsCountExactly) {
     for (std::size_t t = 0; t < kThreads; ++t) {
       threads.emplace_back([&] {
         for (std::size_t i = 0; i < kHitsPerThread; ++i) {
-          (void)cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+          (void)cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
         }
       });
     }
     for (std::thread& th : threads) th.join();
   }
-  const auto plan = cache.GetOrAnalyze(mechanism, 1.0).ValueOrDie();
+  const auto plan = cache.GetOrExtend(mechanism, 1.0).ValueOrDie();
   EXPECT_EQ(plan->cache_hit_count(), kThreads * kHitsPerThread + 1);
   EXPECT_EQ(cache.stats().hits, kThreads * kHitsPerThread + 1);
   EXPECT_EQ(cache.stats().misses, 1u);

@@ -102,9 +102,9 @@ TEST(CompositionTest, StrictRecordRefusesMismatchWithoutAccounting) {
   EXPECT_TRUE(acc.MatchesActiveQuilt(SomeQuilt()));
 }
 
-// One release and a one-row batch are the same ledger entry: same status
-// code and same ledger state afterwards, for valid epsilons, invalid ones,
-// and an active-quilt mismatch.
+// One release, a one-row batch and a counted record of one row are the
+// same ledger entry: same status code and same ledger state afterwards,
+// for valid epsilons, invalid ones, and an active-quilt mismatch.
 TEST(CompositionTest, StrictReleaseMatchesOneRowBatch) {
   const MarkovQuilt other = ChainQuilt(10, 5, 1, 1).ValueOrDie();
   struct Case {
@@ -122,17 +122,22 @@ TEST(CompositionTest, StrictReleaseMatchesOneRowBatch) {
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(c.name);
-    CompositionAccountant single, batch;
+    CompositionAccountant single, batch, counted;
     ASSERT_TRUE(single.RecordReleaseStrict(1.5, SomeQuilt()).ok());
     ASSERT_TRUE(batch.RecordBatchStrict({1.5}, SomeQuilt()).ok());
+    ASSERT_TRUE(counted.RecordStrict(1, 1.5, SomeQuilt()).ok());
     for (double e : c.epsilons) {
       const Status a = single.RecordReleaseStrict(e, c.quilt);
       const Status b = batch.RecordBatchStrict({e}, c.quilt);
+      const Status n = counted.RecordStrict(1, e, c.quilt);
       EXPECT_EQ(a.code(), c.code) << "epsilon " << e;
       EXPECT_EQ(b.code(), c.code) << "epsilon " << e;
-      EXPECT_EQ(single.num_releases(), batch.num_releases());
-      EXPECT_EQ(single.TotalEpsilon(), batch.TotalEpsilon());
-      EXPECT_EQ(single.MaxEpsilon(), batch.MaxEpsilon());
+      EXPECT_EQ(n.code(), c.code) << "epsilon " << e;
+      for (const CompositionAccountant* other : {&batch, &counted}) {
+        EXPECT_EQ(single.num_releases(), other->num_releases());
+        EXPECT_EQ(single.TotalEpsilon(), other->TotalEpsilon());
+        EXPECT_EQ(single.MaxEpsilon(), other->MaxEpsilon());
+      }
     }
   }
 }

@@ -139,25 +139,25 @@ TEST(DeadlineTest, CancelledAnalysisLeavesCacheConsistent) {
 
   AnalysisCache clean;
   const double reference_sigma =
-      clean.GetOrAnalyze(mechanism, 1.0).ValueOrDie()->sigma;
+      clean.GetOrExtend(mechanism, 1.0).ValueOrDie()->sigma;
 
   AnalysisCache cache;
   {
     DeadlineScope scope(Deadline::Expired());
-    const auto cancelled = cache.GetOrAnalyze(mechanism, 1.0);
+    const auto cancelled = cache.GetOrExtend(mechanism, 1.0);
     ASSERT_FALSE(cancelled.ok());
     EXPECT_EQ(cancelled.status().code(), StatusCode::kDeadlineExceeded);
   }
   EXPECT_FALSE(cache.Contains(mechanism, 1.0))
       << "a cancelled analysis must not leave a partial plan resident";
-  const auto retried = cache.GetOrAnalyze(mechanism, 1.0);
+  const auto retried = cache.GetOrExtend(mechanism, 1.0);
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   EXPECT_EQ(retried.value()->sigma, reference_sigma);
   EXPECT_TRUE(cache.Contains(mechanism, 1.0));
 }
 
-// Same contract on the resumable (GetOrExtend) path: a deadline hitting
-// the EXTENSION leaves the chain entry reset, and the retry serves the
+// Same contract when the deadline hits an EXTENSION of a retained
+// resumable analysis: the chain entry is reset, and the retry serves the
 // extended length bit-identically to a cold analysis at that length.
 TEST(DeadlineTest, CancelledExtensionLeavesCacheConsistent) {
   const std::vector<MarkovChain> thetas{SmallChain(0.8, 0.7)};
@@ -177,7 +177,7 @@ TEST(DeadlineTest, CancelledExtensionLeavesCacheConsistent) {
   ASSERT_TRUE(retried.ok()) << retried.status().ToString();
   AnalysisCache clean;
   EXPECT_EQ(retried.value()->sigma,
-            clean.GetOrAnalyze(at70, 1.0).ValueOrDie()->sigma);
+            clean.GetOrExtend(at70, 1.0).ValueOrDie()->sigma);
 }
 
 // ------------------------------------------------ engine + session ---------

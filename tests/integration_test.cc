@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <future>
+#include <vector>
 
 #include "baselines/group_dp.h"
 #include "common/histogram.h"
@@ -147,8 +149,10 @@ TEST(IntegrationTest, ActivityPipelineMqmBeatsGroupDp) {
   auto session = engine->CreateSession(session_options);
   double err = 0.0;
   const int trials = 20;
-  auto futures = session->SubmitBatch(
-      aggregate, std::vector<StateSequence>(trials, pooled));
+  std::vector<std::future<Result<ReleaseResult>>> futures;
+  for (int t = 0; t < trials; ++t) {
+    futures.push_back(session->Submit(aggregate, pooled));
+  }
   for (auto& f : futures) {
     err += DistanceL1(f.get().ValueOrDie().value, truth);
   }

@@ -33,15 +33,15 @@ AnalysisCache& PopulatedCache() {
   static auto* cache = [] {
     auto* c = new AnalysisCache();
     const MqmExactUnified exact({TestChain(0.8, 0.7)}, 50);
-    c->GetOrAnalyze(exact, 1.0).ValueOrDie();
+    c->GetOrExtend(exact, 1.0).ValueOrDie();
     const MarkovChain chain = TestChain(0.8, 0.7);
     const MqmGeneralUnified general(
         {BayesianNetwork::FromMarkovChain(chain.initial(), chain.transition(),
                                           8)
              .ValueOrDie()});
-    c->GetOrAnalyze(general, 1.0).ValueOrDie();
+    c->GetOrExtend(general, 1.0).ValueOrDie();
     const LaplaceDpUnified laplace(2.0);
-    c->GetOrAnalyze(laplace, 0.5).ValueOrDie();
+    c->GetOrExtend(laplace, 0.5).ValueOrDie();
     return c;
   }();
   return *cache;

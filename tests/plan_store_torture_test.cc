@@ -44,7 +44,7 @@ std::vector<CachedPlan> MakeEntries(std::size_t count) {
   const LaplaceDpUnified laplace(2.0);
   for (std::size_t i = 0; i < count; ++i) {
     const double epsilon = 0.5 + 0.25 * static_cast<double>(i);
-    (void)cache.GetOrAnalyze(laplace, epsilon).ValueOrDie();
+    (void)cache.GetOrExtend(laplace, epsilon).ValueOrDie();
   }
   return cache.ExportPlans();
 }

@@ -391,9 +391,10 @@ TEST(SessionWindowTest, WindowCompilesAtWindowSensitivity) {
 }
 
 TEST(SessionWindowTest, WindowKeyCannotCollideWithCustomQueryNames) {
-  // Regression: the compiled-query key for (custom query "f", window 5)
-  // must differ from the full-record key of a custom query NAMED "f@w5" —
-  // a suffix-style key made them equal, serving the wrong query body.
+  // Regression: custom query "f" over a 5-observation window and a
+  // full-record custom query NAMED "f@w5" are different queries — a compile
+  // keyed by name plus a window suffix once served one's body for the
+  // other.
   auto engine = ChainEngine(10);
   const auto suffix_named = engine->Compile(
       QuerySpec::CustomScalar("f@w5", [](const StateSequence&) { return 1.0; },
@@ -468,26 +469,6 @@ TEST(SessionWindowTest, ExplicitAllMatchesDefaultOnShortDatabase) {
           .ValueOrDie();
   EXPECT_EQ(implicit_all.ticket, explicit_all.ticket);
   EXPECT_EQ(implicit_all.value[0], explicit_all.value[0]);
-}
-
-TEST(SessionTest, SubmitBatchManyQueriesOneDatabase) {
-  auto engine = LaplaceEngine();
-  auto session = engine->CreateSession();
-  std::vector<QuerySpec> specs(10, QuerySpec::Sum(1.0));
-  auto futures = session->SubmitBatch(specs, kData);
-  ASSERT_EQ(futures.size(), 10u);
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(session->num_releases(), 10u);
-}
-
-TEST(SessionTest, SubmitBatchOneQueryManyDatabases) {
-  auto engine = LaplaceEngine();
-  auto session = engine->CreateSession();
-  std::vector<StateSequence> batch(7, kData);
-  auto futures = session->SubmitBatch(QuerySpec::Sum(1.0), batch);
-  ASSERT_EQ(futures.size(), 7u);
-  for (auto& f : futures) EXPECT_TRUE(f.get().ok());
-  EXPECT_EQ(session->num_releases(), 7u);
 }
 
 }  // namespace

@@ -373,8 +373,8 @@ TEST(TsanStressTest, SharedSessionLedgerAdmitsExactlyFloorBudget) {
   auto session = engine->CreateSession(options);
   const StateSequence data = StressData(40);
 
-  // Warm the compiled-query cache first so the racing releases exercise
-  // the ledger, not the analysis.
+  // Warm the plan cache first so the racing releases exercise the ledger,
+  // not the analysis.
   ASSERT_TRUE(engine->Compile(QuerySpec::Sum(0.4)).ok());
 
   std::atomic<int> admitted{0};

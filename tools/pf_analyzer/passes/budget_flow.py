@@ -6,7 +6,7 @@ The serving contract (PR 2 pricing, PR 8 shed-before-charge ordering):
   1. On every path through Session/PrivacyEngine that reaches a release
      site — a noise release (`ReleaseVector`), the one execute body
      (`ExecuteBatchPlan`), or an executor enqueue (`executor().Submit`) — a
-     budget charge (`Charge` / `RecordReleaseStrict` /
+     budget charge (`Charge` / `RecordStrict` / `RecordReleaseStrict` /
      `RecordBatchStrict` / `ComposedBudgetAdmits`) must already have
      happened. An uncharged path
      is a privacy bug: noise goes out without the ledger recording it.
@@ -32,8 +32,8 @@ WHY = ("every release must be dominated by a Theorem 4.4 budget charge, "
 
 RELEASE_CALLS = {"ExecuteBatchPlan", "ReleaseVector"}
 ENQUEUE_CALL = "Submit"  # Only on a receiver mentioning the executor.
-CHARGE_CALLS = {"Charge", "RecordReleaseStrict", "RecordBatchStrict",
-                "ComposedBudgetAdmits"}
+CHARGE_CALLS = {"Charge", "RecordStrict", "RecordReleaseStrict",
+                "RecordBatchStrict", "ComposedBudgetAdmits"}
 PERMIT_CALLS = {"TryAcquire", "AdmitInFlight"}
 
 

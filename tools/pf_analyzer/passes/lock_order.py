@@ -1,7 +1,7 @@
 """lock-order: the global mutex acquisition graph must be acyclic.
 
 The engine documents pairwise orders in comments (PrivacyEngine:
-`model_mutex_ before compiled_mutex_`), but comments drift. This pass
+`model_mutex_ before prepared_mutex_`), but comments drift. This pass
 derives the real order from the code:
 
   * Nodes are mutex members: every field whose type is a mutex capability
@@ -283,7 +283,7 @@ def write_doc(path: str, graph: LockGraph, model: SourceModel) -> None:
         "<!-- Generated by tools/pf_analyzer (lock-order pass). Do not edit",
         "     by hand: regenerate with",
         "     `python3 tools/pf_analyzer --rules lock-order "
-        "--lock-order-doc docs/LOCK_ORDER.md src`. -->",
+        "--lock-order-doc docs/LOCK_ORDER.md`. -->",
         "",
         "Derived from `MutexLock` sites, explicit `Lock()/Unlock()` calls,",
         "and `PF_REQUIRES` annotations across the tree. An edge `A -> B`",

@@ -8,13 +8,12 @@
 //   offsets  rows + 1 monotone indices into values
 //   epsilon / sigma / noise_scale / ticket   per-row accounting columns
 //
-// Every column lives in one arena (common/arena.h): building a batch costs
-// O(log(bytes)) block mallocs the first time and zero once blocks are
-// retained, and dropping it frees everything at once — no per-row
-// allocation or destruction on the serving hot path. The arena never runs
-// destructors, which is exactly right here: every column is POD.
+// Every column lives in one exact-size buffer the batch owns: building a
+// batch costs one heap allocation whatever its row count, and dropping it
+// frees everything at once — no per-row allocation or destruction on the
+// serving hot path. Every column is POD, so nothing needs destructing.
 //
-// A RecordBatch owns its arena, so it is movable (futures can carry it out
+// A RecordBatch owns its buffer, so it is movable (futures can carry it out
 // of the executor) but not copyable.
 #ifndef PUFFERFISH_COMMON_RECORD_BATCH_H_
 #define PUFFERFISH_COMMON_RECORD_BATCH_H_
@@ -23,7 +22,6 @@
 #include <cstdint>
 #include <memory>
 
-#include "common/arena.h"
 #include "common/matrix.h"
 
 namespace pf {
@@ -91,13 +89,12 @@ class RecordBatch {
     return Vector(row(i), row(i) + row_size(i));
   }
 
-  /// Bytes the batch's arena holds (capacity, not just in-use).
-  std::size_t retained_bytes() const {
-    return arena_ == nullptr ? 0 : arena_->retained_bytes();
-  }
+  /// Bytes the batch owns: its one buffer, holding every column.
+  std::size_t retained_bytes() const { return bytes_; }
 
  private:
-  std::unique_ptr<Arena> arena_;
+  std::unique_ptr<std::byte[]> buffer_;
+  std::size_t bytes_ = 0;
   std::size_t rows_ = 0;
   std::size_t total_values_ = 0;
   double* values_ = nullptr;

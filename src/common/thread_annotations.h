@@ -13,7 +13,7 @@
 //     pf::MutexLock, and pf::CondVar. std::mutex itself carries no
 //     capability attribute, so fields cannot be PF_GUARDED_BY it; all
 //     locking in the library goes through these wrappers instead
-//     (tools/lint_invariants.py enforces this greppably).
+//     (tools/pf_analyzer's raw-mutex rule enforces this greppably).
 //
 // Annotation style, used across engine/, pufferfish/, and common/:
 //  - every mutable field shared between threads is PF_GUARDED_BY(mu_);

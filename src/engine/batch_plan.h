@@ -16,7 +16,7 @@
 //        |  ExecuteBatchPlan     aggregate -> derive -> clip -> noise,
 //        |                       SimdLevel-dispatched kernels
 //        v
-//     BatchReleaseResult         one arena-backed RecordBatch
+//     BatchReleaseResult         one single-buffer RecordBatch
 //
 // This is the ONE serving path: Session::Release and Session::Submit are
 // 1-row plans through the same compile -> charge -> execute sequence.
@@ -211,7 +211,7 @@ struct CompiledBatchPlan {
   std::string Explain() const;
 };
 
-/// \brief The released batch: one arena-backed RecordBatch whose columns
+/// \brief The released batch: one single-buffer RecordBatch whose columns
 /// carry the noisy values plus per-row accounting (epsilon, sigma, applied
 /// noise scale, ticket), and the mechanism that served it.
 struct BatchReleaseResult {

@@ -103,16 +103,11 @@ class Executor {
     std::uint64_t shed = 0;
   };
 
+  /// Workers are spawned lazily on the first Submit, so engines used only
+  /// for synchronous Compile/Release never pay for idle threads.
   explicit Executor(const ExecutorOptions& options)
       : num_threads_(ResolveThreadCount(options.num_threads)),
         max_queue_depth_(options.max_queue_depth) {}
-
-  /// Convenience: pool of `num_threads` (0 = hardware concurrency) with the
-  /// default queue bound. Workers are spawned lazily on the first Submit,
-  /// so engines used only for synchronous Compile/Release never pay for
-  /// idle threads.
-  explicit Executor(std::size_t num_threads)
-      : Executor(ExecutorOptions{num_threads, ExecutorOptions().max_queue_depth}) {}
 
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
@@ -198,17 +193,6 @@ class Executor {
     }
     wake_.NotifyOne();
     return future;
-  }
-
-  /// \brief One-shot admission + enqueue: sheds with Unavailable when the
-  /// queue is full, otherwise returns the task's future. Use the
-  /// TryAcquire/Submit(permit) split instead when side effects (budget
-  /// charges) must land between admission and enqueue.
-  template <typename F>
-  auto Submit(F&& fn) -> Result<std::future<decltype(fn())>> {
-    auto permit = TryAcquire();
-    if (!permit.ok()) return permit.status();
-    return Submit(std::move(permit).value(), std::forward<F>(fn));
   }
 
  private:

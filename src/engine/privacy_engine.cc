@@ -270,13 +270,13 @@ Result<MechanismKind> SelectMechanism(const ModelSpec& model,
       // screen: the caller opted in.)
       const std::size_t width =
           MinFillWidth(UnionMoralGraph(model.networks).adjacency());
-      if (width > options.network_width_cutoff) {
+      if (width > kNetworkWidthCutoff) {
         return Status::InvalidArgument(
             "network class min-fill width " + std::to_string(width) +
-            " exceeds EngineOptions::network_width_cutoff (" +
-            std::to_string(options.network_width_cutoff) +
+            " exceeds kNetworkWidthCutoff (" +
+            std::to_string(kNetworkWidthCutoff) +
             "): structured inference would be exponential in it; simplify "
-            "the model, raise the cutoff, or override the mechanism");
+            "the model or override the mechanism");
       }
       return MechanismKind::kMqmGeneral;
     }
@@ -517,40 +517,26 @@ Result<PrivacyEngine::CompiledQuery> PrivacyEngine::Compile(
   PF_ASSIGN_OR_RETURN(
       VectorQuery query,
       CompileQuerySpec(spec, num_states_, compile_length));
-  // Overload policy, applied only when the plan is not already resident
-  // (warm traffic is never shed): the caller opted out of cold analyses,
-  // or the executor queue is past the shed threshold. Both refusals are
-  // transient — a retry succeeds once the plan is cached or load drops.
-  if (!cache_.Contains(*mechanism, spec.epsilon)) {
-    if (!request.allow_cold_analysis) {
-      return Status::Unavailable(
-                 "plan not cached and the request disallows cold analysis")
-          .WithContext("compile " + spec.CacheKey());
-    }
-    const std::size_t shed_depth = options_.shed_cold_queue_depth;
-    if (shed_depth > 0 && executor_.queue_depth() >= shed_depth) {
-      return Status::Unavailable(
-                 "cold analysis shed under load (queue depth " +
-                 std::to_string(executor_.queue_depth()) + " >= " +
-                 std::to_string(shed_depth) + "); retry after load drops")
-          .WithContext("compile " + spec.CacheKey());
-    }
+  // Overload policy: past the shed threshold, a plan that is not already
+  // resident is refused rather than analyzed cold (warm traffic is never
+  // shed). The residency probe fingerprints the whole model, so it runs
+  // only when the policy is on and the queue is at the threshold. The
+  // refusal is transient: a retry succeeds once load drops.
+  const std::size_t shed_depth = options_.shed_cold_queue_depth;
+  const std::size_t depth = executor_.queue_depth();
+  if (shed_depth > 0 && depth >= shed_depth &&
+      !cache_.Contains(*mechanism, spec.epsilon)) {
+    return Status::Unavailable("cold analysis shed under load (queue depth " +
+                               std::to_string(depth) + " >= " +
+                               std::to_string(shed_depth) +
+                               "); retry after load drops")
+        .WithContext("compile " + spec.CacheKey());
   }
-  // Effective analysis deadline: the per-request deadline tightened by the
-  // engine-wide analysis timeout. Installed thread-locally for the
-  // duration of the (possibly long) sigma analysis; ParallelFor carries it
-  // into pool workers, so the checkpoints deep in the analysis loops see
-  // it.
-  Deadline analysis_deadline = request.deadline;
-  if (options_.analysis_timeout_ms > 0) {
-    const Deadline timeout = Deadline::After(options_.analysis_timeout_ms);
-    if (analysis_deadline.infinite() ||
-        timeout.remaining_ms() < analysis_deadline.remaining_ms()) {
-      analysis_deadline = timeout;
-    }
-  }
+  // The request's deadline, installed thread-locally for the duration of
+  // the (possibly long) sigma analysis; ParallelFor carries it into pool
+  // workers, so the checkpoints deep in the analysis loops see it.
   Result<std::shared_ptr<const MechanismPlan>> plan = [&] {
-    DeadlineScope scope(analysis_deadline);
+    DeadlineScope scope(request.deadline);
     return cache_.GetOrExtend(*mechanism, spec.epsilon);
   }();
   if (!plan.ok()) {

@@ -118,12 +118,6 @@ struct EngineOptions {
   /// conditionals; kAuto resolves to variable elimination, whose cost is
   /// exponential only in the network's induced treewidth.
   InferenceBackend network_backend = InferenceBackend::kAuto;
-  /// Auto policy: NetworkClass models whose min-fill induced width (a
-  /// treewidth upper bound) exceeds this are refused at Create — the
-  /// elimination tables would be exponential in it. Structured models
-  /// (trees, stars, grids) pass at any node count; an explicit
-  /// `mechanism` override bypasses the screen.
-  std::size_t network_width_cutoff = 16;
   /// Executor queue bound: submissions beyond this many waiting tasks are
   /// shed with Unavailable (see ExecutorOptions::max_queue_depth; 0 =
   /// unbounded).
@@ -134,12 +128,14 @@ struct EngineOptions {
   /// traffic keeps serving at full speed under overload, and cold requests
   /// recover as soon as the queue drains. 0 disables the policy.
   std::size_t shed_cold_queue_depth = 0;
-  /// Upper bound in milliseconds on any single sigma analysis launched by
-  /// Compile/AnalyzeStats, enforced at the cooperative checkpoints in the
-  /// analysis loops (DeadlineExceeded past it). Combines with a per-request
-  /// deadline (the tighter one wins). 0 = no engine-wide bound.
-  std::int64_t analysis_timeout_ms = 0;
 };
+
+/// Auto policy: NetworkClass models whose min-fill induced width (a
+/// treewidth upper bound) exceeds this are refused at Create — the
+/// elimination tables would be exponential in it. Structured models
+/// (trees, stars, grids) pass at any node count; an explicit
+/// EngineOptions::mechanism override bypasses the screen.
+inline constexpr std::size_t kNetworkWidthCutoff = 16;
 
 /// \brief The mechanism the policy picks for `model` under `options`
 /// (honoring options.mechanism when set). Exposed for tests and logs;
@@ -224,11 +220,10 @@ class PrivacyEngine {
   /// record is InvalidArgument.
   ///
   /// `request` constrains the compile: an already-expired deadline is
-  /// refused with DeadlineExceeded before any work, a deadline (or
-  /// EngineOptions::analysis_timeout_ms) expiring mid-analysis cancels it
-  /// at the next checkpoint, and cold analyses are shed with Unavailable
-  /// under the overload policy (see RequestOptions and
-  /// EngineOptions::shed_cold_queue_depth). Failure messages chain context
+  /// refused with DeadlineExceeded before any work, and a deadline expiring
+  /// mid-analysis cancels it at the next checkpoint. Cold analyses are shed
+  /// with Unavailable under the overload policy
+  /// (EngineOptions::shed_cold_queue_depth). Failure messages chain context
   /// back to the root cause.
   Result<CompiledQuery> Compile(const QuerySpec& spec,
                                 std::size_t window_length = 0,

@@ -28,11 +28,6 @@ struct RequestOptions {
   /// when already expired, and honored mid-analysis at the cooperative
   /// checkpoints (power ladder, node scans, variable elimination).
   Deadline deadline;
-  /// When false the request is only willing to be served from cached
-  /// plans: a Compile that would need a cold sigma analysis returns
-  /// Unavailable immediately (the caller's own fast-fail knob, independent
-  /// of EngineOptions::shed_cold_queue_depth).
-  bool allow_cold_analysis = true;
 };
 
 /// The built-in query shapes plus the custom escape hatch.

@@ -53,14 +53,6 @@ std::future<Result<T>> ReadyError(Status status) {
   return promise.get_future();
 }
 
-/// Structural equality of what the ledger hashes (QuiltSignature encodes
-/// exactly target, quilt, and nearby_count): true iff two plans' releases
-/// would ledger under the same active quilt.
-bool SameQuiltIdentity(const MarkovQuilt& a, const MarkovQuilt& b) {
-  return a.target == b.target && a.nearby_count == b.nearby_count &&
-         a.quilt == b.quilt;
-}
-
 /// Row 0 of a released 1-row plan as a ReleaseResult.
 Result<ReleaseResult> FirstRow(Result<BatchReleaseResult> released) {
   if (!released.ok()) return released.status();
@@ -80,35 +72,11 @@ Session::Session(PrivacyEngine* engine, const SessionOptions& options)
     : engine_(engine),
       options_(options),
       seed_(options.seed.has_value() ? *options.seed
-                                     : engine->NextSessionSeed()),
-      in_flight_(std::make_shared<std::atomic<std::size_t>>(0)) {}
-
-Status Session::AdmitInFlight() {
-  const std::size_t cap = options_.max_in_flight;
-  if (cap == 0) {
-    in_flight_->fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  std::size_t current = in_flight_->load(std::memory_order_relaxed);
-  while (true) {
-    if (current >= cap) {
-      return Status::Unavailable(
-          "session in-flight cap reached (" + std::to_string(current) +
-          " >= " + std::to_string(cap) +
-          "); retry after outstanding releases complete");
-    }
-    // CAS keeps the cap exact under concurrent Submit calls: a plain
-    // fetch_add could admit cap+1 tasks between the load and the bump.
-    if (in_flight_->compare_exchange_weak(current, current + 1,
-                                          std::memory_order_relaxed)) {
-      return Status::OK();
-    }
-  }
-}
+                                     : engine->NextSessionSeed()) {}
 
 Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
   // Models a refusal between admission and the charge (e.g. a ledger
-  // backend outage): the caller returns its slots and nothing is charged.
+  // backend outage): the caller drops its permit and nothing is charged.
   PF_FAILPOINT("session.charge");
   // A plan that can never release (GK16 outside its spectral condition, a
   // non-finite noise scale) must be refused *before* charging: the failed
@@ -132,7 +100,7 @@ Result<std::uint64_t> Session::Charge(const CompiledBatchPlan& plan) {
   // RecordStrict then checks against the ledger's earlier releases).
   const MarkovQuilt quilt = PlanActiveQuilt(*plan.compiled.front().plan);
   for (std::size_t u = 1; u < plan.compiled.size(); ++u) {
-    if (!SameQuiltIdentity(quilt, PlanActiveQuilt(*plan.compiled[u].plan))) {
+    if (!SameActiveQuilt(quilt, PlanActiveQuilt(*plan.compiled[u].plan))) {
       return Status::FailedPrecondition(
           "batch mixes active quilts (rows would compose under different "
           "Theorem 4.4 objects); the batch was refused whole and nothing "
@@ -190,29 +158,24 @@ std::future<Result<T>> Session::Enqueue(
   // Plan before claiming any serving resources: a request that cannot
   // compile should not occupy an executor slot.
   if (!prepared.ok()) return ReadyError<T>(prepared.status());
-  // Admission strictly precedes accounting. The executor slot and the
-  // in-flight slot are both claimed before the charge, so a request shed
-  // here resolves to Unavailable with the ledger untouched; once the
-  // charge lands, hand-off cannot fail (Submit with a valid permit always
-  // enqueues), so a charged ticket always produces a release or a typed
-  // execute error — never a silently dropped debit.
+  // Admission strictly precedes accounting. The executor permit is claimed
+  // before the charge, so a request shed here resolves to Unavailable with
+  // the ledger untouched; once the charge lands, hand-off cannot fail
+  // (Submit with a valid permit always enqueues), so a charged ticket
+  // always produces a release or a typed execute error — never a silently
+  // dropped debit.
   Result<Executor::Permit> permit = engine_->executor().TryAcquire();
   if (!permit.ok()) return ReadyError<T>(permit.status());
-  Status admitted = AdmitInFlight();
-  if (!admitted.ok()) return ReadyError<T>(std::move(admitted));
   Result<std::uint64_t> charged = Charge(*prepared.value());
-  if (!charged.ok()) {
-    in_flight_->fetch_sub(1, std::memory_order_relaxed);
-    return ReadyError<T>(charged.status());  // Permit released by ~Permit.
-  }
+  // A refused charge drops the permit (~Permit returns its slot).
+  if (!charged.ok()) return ReadyError<T>(charged.status());
   std::shared_ptr<const CompiledBatchPlan> plan = std::move(prepared).value();
   return engine_->executor().Submit(
       std::move(permit).value(),
       [plan = std::move(plan), data = std::move(data), seed = seed_,
-       first_ticket = charged.value(), in_flight = in_flight_]() -> Result<T> {
+       first_ticket = charged.value()]() -> Result<T> {
         Result<BatchReleaseResult> released =
             ExecuteBatchPlan(*plan, *data, seed, first_ticket);
-        in_flight->fetch_sub(1, std::memory_order_relaxed);
         if constexpr (std::is_same_v<T, ReleaseResult>) {
           return FirstRow(std::move(released));
         } else {

@@ -15,8 +15,8 @@
 //
 // Each plans (PrepareBatchPlan: a resubmitted shape is a prepared-plan
 // cache hit), charges once (Charge: rows = 1 is the scalar case), then runs
-// ExecuteBatchPlan. The async entry points claim an executor permit and an
-// in-flight slot BEFORE the charge, so a shed request never debits epsilon.
+// ExecuteBatchPlan. The async entry points claim an executor permit BEFORE
+// the charge, so a shed request never debits epsilon.
 //
 // Determinism: each accepted release draws its noise from an RNG seeded by
 // (session seed, ticket), where tickets are assigned in call order. Results
@@ -25,7 +25,6 @@
 #ifndef PUFFERFISH_ENGINE_SESSION_H_
 #define PUFFERFISH_ENGINE_SESSION_H_
 
-#include <atomic>
 #include <cstdint>
 #include <future>
 #include <limits>
@@ -53,11 +52,6 @@ struct SessionOptions {
   /// value, so identical streams must be something a caller asks for
   /// explicitly (reproducible experiments), never an accident.
   std::optional<std::uint64_t> seed;
-  /// Maximum concurrently in-flight asynchronous releases (admitted by
-  /// Submit but not yet completed). 0 (the default) is unlimited. At the
-  /// cap Submit refuses with Unavailable BEFORE charging the budget, so a
-  /// shed ticket never debits epsilon.
-  std::size_t max_in_flight = 0;
 };
 
 // DataWindow lives in engine/batch_plan.h; it is re-exported here so
@@ -88,12 +82,11 @@ class Session {
 
   /// \brief Synchronous release: plans `spec` over `window` as a 1-row
   /// batch plan (prepared-plan cache), charges the budget, then evaluates
-  /// and noises it on the calling thread — no executor permit, no
-  /// in-flight slot. The window is resolved against `data` now; All() (the
-  /// default) compiles against the engine's full record length. Refusals
-  /// (bad window, expired deadline, cold-shed, budget, quilt mismatch)
-  /// charge nothing; a deadline expiring mid-analysis cancels it at the
-  /// next checkpoint.
+  /// and noises it on the calling thread — no executor permit. The window
+  /// is resolved against `data` now; All() (the default) compiles against
+  /// the engine's full record length. Refusals (bad window, expired
+  /// deadline, cold-shed, budget, quilt mismatch) charge nothing; a
+  /// deadline expiring mid-analysis cancels it at the next checkpoint.
   Result<ReleaseResult> Release(const QuerySpec& spec,
                                 const StateSequence& data,
                                 const DataWindow& window = DataWindow::All(),
@@ -103,10 +96,10 @@ class Session {
   /// budget charge happen now (in call order — tickets and the ledger are
   /// deterministic), evaluation and the noise draw run on the engine's
   /// executor. Admission happens strictly before accounting: the executor
-  /// slot and the session's in-flight cap are claimed first, so a request
-  /// shed with Unavailable or refused for any reason returns an
-  /// already-resolved errored future and never debits epsilon. This
-  /// overload shares the caller's snapshot (no copy per call).
+  /// permit is claimed first, so a request shed with Unavailable or
+  /// refused for any reason returns an already-resolved errored future and
+  /// never debits epsilon. This overload shares the caller's snapshot (no
+  /// copy per call).
   std::future<Result<ReleaseResult>> Submit(
       const QuerySpec& spec, std::shared_ptr<const StateSequence> data,
       const DataWindow& window = DataWindow::All(),
@@ -123,23 +116,18 @@ class Session {
   /// struct-of-arrays result batch. All-or-nothing, unlike a loop of
   /// Submits (each row admitted and charged on its own): a batch that
   /// fails to compile, mixes active quilts, would overrun the budget, or is
-  /// shed (queue full, in-flight cap, cold-shed policy) is refused whole
-  /// and debits NOTHING. Admission
-  /// strictly precedes accounting, exactly like Submit. Row i releases
-  /// under ticket first + i, drawing from the same per-ticket noise stream
-  /// a 1-row Submit would — released values are bit-identical to
-  /// submitting the same specs one by one, in order, at any thread count
-  /// and SimdLevel, while skipping the per-row dispatch/future/allocation
-  /// overhead (see bench_batch_serving).
+  /// shed (queue full, cold-shed policy) is refused whole and debits
+  /// NOTHING. Admission strictly precedes accounting, exactly like Submit.
+  /// Row i releases under ticket first + i, drawing from the same
+  /// per-ticket noise stream a 1-row Submit would — released values are
+  /// bit-identical to submitting the same specs one by one, in order, at
+  /// any thread count and SimdLevel, while skipping the per-row
+  /// dispatch/future/allocation overhead (see bench_batch_serving).
   std::future<Result<BatchReleaseResult>> SubmitColumnar(
       const BatchQuerySpec& batch, const StateSequence& data,
       const RequestOptions& request = {});
 
   double epsilon_budget() const { return options_.epsilon_budget; }
-  /// Asynchronous releases admitted but not yet completed.
-  std::size_t in_flight() const {
-    return in_flight_->load(std::memory_order_relaxed);
-  }
   /// Composed epsilon spent so far (K * max_k epsilon_k, Theorem 4.4).
   double EpsilonSpent() const;
   /// Budget still spendable (infinite for unmetered sessions).
@@ -157,14 +145,9 @@ class Session {
   Result<std::uint64_t> Charge(const CompiledBatchPlan& plan)
       PF_EXCLUDES(mutex_);
 
-  /// Claims one in-flight slot (CAS against max_in_flight); Unavailable at
-  /// the cap. The slot is returned by the task body on completion, or by
-  /// the submit path on any failure between admission and hand-off.
-  Status AdmitInFlight();
-
   /// \brief The admission tail shared by Submit and SubmitColumnar, in
-  /// shed-before-charge order: executor permit, in-flight slot, charge,
-  /// then the executor task (which keeps the permit) runs ExecuteBatchPlan.
+  /// shed-before-charge order: executor permit, charge, then the executor
+  /// task (which keeps the permit) runs ExecuteBatchPlan.
   /// T is ReleaseResult (row 0 of a 1-row plan) or BatchReleaseResult.
   template <typename T>
   std::future<Result<T>> Enqueue(
@@ -175,10 +158,6 @@ class Session {
   const SessionOptions options_;
   /// Resolved noise seed (options_.seed or engine-assigned).
   const std::uint64_t seed_;
-
-  /// Shared with task bodies so a completion can return its slot even if
-  /// it outlives the session object (futures may be drained after ~Session).
-  const std::shared_ptr<std::atomic<std::size_t>> in_flight_;
 
   mutable Mutex mutex_;
   CompositionAccountant accountant_ PF_GUARDED_BY(mutex_);

@@ -28,11 +28,9 @@ bool ComposedBudgetAdmits(std::size_t num_releases, double max_epsilon,
   return composed <= budget + slack;
 }
 
-std::string CompositionAccountant::QuiltSignature(const MarkovQuilt& q) {
-  std::string sig = std::to_string(q.target) + ":";
-  for (int v : q.quilt) sig += std::to_string(v) + ",";
-  sig += "|" + std::to_string(q.nearby_count);
-  return sig;
+bool SameActiveQuilt(const MarkovQuilt& a, const MarkovQuilt& b) {
+  return a.target == b.target && a.nearby_count == b.nearby_count &&
+         a.quilt == b.quilt;
 }
 
 Status CompositionAccountant::RecordStrict(std::size_t count,
@@ -43,14 +41,13 @@ Status CompositionAccountant::RecordStrict(std::size_t count,
   // must agree on what a valid epsilon is.
   PF_RETURN_NOT_OK(ValidatePrivacyParams({max_epsilon}));
   if (count == 0) return Status::OK();
-  const std::string sig = QuiltSignature(active_quilt);
-  if (num_releases_ != 0 && sig != first_signature_) {
+  if (!MatchesActiveQuilt(active_quilt)) {
     return Status::FailedPrecondition(
         "release refused: its active quilt differs from the ledger's "
         "earlier releases, so Theorem 4.4 composition does not apply; "
         "serve it from a separate session");
   }
-  if (num_releases_ == 0) first_signature_ = sig;
+  if (num_releases_ == 0) first_quilt_ = active_quilt;
   num_releases_ += count;
   if (max_epsilon > max_epsilon_) max_epsilon_ = max_epsilon;
   return Status::OK();
@@ -77,13 +74,13 @@ double CompositionAccountant::TotalEpsilon() const {
 }
 
 bool CompositionAccountant::MatchesActiveQuilt(const MarkovQuilt& quilt) const {
-  return num_releases_ == 0 || QuiltSignature(quilt) == first_signature_;
+  return num_releases_ == 0 || SameActiveQuilt(quilt, first_quilt_);
 }
 
 void CompositionAccountant::Reset() {
   num_releases_ = 0;
   max_epsilon_ = 0.0;
-  first_signature_.clear();
+  first_quilt_ = MarkovQuilt();
 }
 
 }  // namespace pf

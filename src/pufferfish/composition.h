@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -38,6 +37,11 @@ namespace pf {
 /// bug by construction — callers must branch on it before releasing.
 [[nodiscard]] bool ComposedBudgetAdmits(std::size_t num_releases,
                                         double max_epsilon, double budget);
+
+/// \brief True iff releases under `a` and `b` compose under Theorem 4.4:
+/// same target, same quilt nodes X_Q, same nearby count. The explicit
+/// `nearby` / `remote` lists are derived from those and not compared.
+[[nodiscard]] bool SameActiveQuilt(const MarkovQuilt& a, const MarkovQuilt& b);
 
 /// \brief Tracks repeated MQM releases over the same database and reports
 /// the composed privacy guarantee of Theorem 4.4.
@@ -86,12 +90,12 @@ class CompositionAccountant {
   void Reset();
 
  private:
-  static std::string QuiltSignature(const MarkovQuilt& q);
-
   // Only the count and the max enter Theorem 4.4's K * max_k epsilon_k.
   std::uint64_t num_releases_ = 0;
   double max_epsilon_ = 0.0;
-  std::string first_signature_;
+  /// The first release's active quilt, which every later one must match
+  /// (SameActiveQuilt).
+  MarkovQuilt first_quilt_;
 };
 
 }  // namespace pf

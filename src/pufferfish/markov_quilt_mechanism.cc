@@ -66,7 +66,7 @@ QuiltSearchMode ResolveSearch(const MqmAnalyzeOptions& options,
   if (options.quilt_search != QuiltSearchMode::kAuto) {
     return options.quilt_search;
   }
-  return num_nodes <= options.exhaustive_node_limit
+  return num_nodes <= kExhaustiveNodeLimit
              ? QuiltSearchMode::kExhaustive
              : QuiltSearchMode::kSeparator;
 }

@@ -84,8 +84,7 @@ struct MqmAnalysis {
 
 /// How per-node quilt candidates are generated.
 enum class QuiltSearchMode {
-  /// Exhaustive up to MqmAnalyzeOptions::exhaustive_node_limit nodes,
-  /// separator-driven beyond.
+  /// Exhaustive up to kExhaustiveNodeLimit nodes, separator-driven beyond.
   kAuto,
   /// All separators of size <= max_quilt_size (EnumerateQuilts) — the
   /// reference search; exponential in max_quilt_size.
@@ -96,6 +95,10 @@ enum class QuiltSearchMode {
   /// guarantee.
   kSeparator,
 };
+
+/// QuiltSearchMode::kAuto threshold: networks with more nodes than this
+/// switch from the exhaustive subset search to the separator search.
+inline constexpr std::size_t kExhaustiveNodeLimit = 16;
 
 /// Tuning knobs for the Algorithm 2 search.
 struct MqmAnalyzeOptions {
@@ -120,9 +123,6 @@ struct MqmAnalyzeOptions {
   InferenceBackend backend = InferenceBackend::kAuto;
   /// Quilt candidate generation (see QuiltSearchMode).
   QuiltSearchMode quilt_search = QuiltSearchMode::kAuto;
-  /// kAuto search threshold: networks with more nodes than this switch
-  /// from the exhaustive subset search to the separator search.
-  std::size_t exhaustive_node_limit = 16;
   /// Knobs for the separator search (radius and sphere-size caps).
   SeparatorSearchOptions separator;
   /// \brief Score one representative node per canonical class instead of

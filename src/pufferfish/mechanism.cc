@@ -1,6 +1,7 @@
 #include "pufferfish/mechanism.h"
 
 #include <cmath>
+#include <string>
 
 #include "common/fingerprint.h"
 #include "engine/batch_kernels.h"
@@ -31,7 +32,7 @@ MechanismPlan Mechanism::NewPlan(double epsilon, double sigma) const {
 
 Result<std::unique_ptr<ResumableAnalysis>> Mechanism::AnalyzeResumable(
     double /*epsilon*/) const {
-  return Status::NotSupported(name() +
+  return Status::NotSupported(std::string(MechanismKindName(kind())) +
                               " has no resumable (append-aware) analysis");
 }
 
@@ -193,7 +194,7 @@ std::uint64_t MqmGeneralUnified::Fingerprint() const {
       .Add(options_.enumeration_limit)
       .Add(static_cast<int>(options_.backend))
       .Add(static_cast<int>(options_.quilt_search))
-      .Add(options_.exhaustive_node_limit)
+      .Add(kExhaustiveNodeLimit)  // Keeps saved plan keys stable.
       .Add(options_.separator.max_radius)
       .Add(options_.separator.max_quilt_size)
       .Add(thetas_.size());

@@ -25,7 +25,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "baselines/gk16.h"
@@ -130,8 +129,6 @@ class Mechanism {
   virtual ~Mechanism() = default;
 
   virtual MechanismKind kind() const = 0;
-  /// Human-readable name for tables and logs.
-  virtual std::string name() const = 0;
 
   /// \brief The expensive, data-independent phase: validates the model and
   /// computes the noise calibration (sigma) for this epsilon.
@@ -206,7 +203,6 @@ class LaplaceDpUnified : public Mechanism {
  public:
   explicit LaplaceDpUnified(double sensitivity) : sensitivity_(sensitivity) {}
   MechanismKind kind() const override { return MechanismKind::kLaplaceDp; }
-  std::string name() const override { return "LaplaceDP"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 
@@ -220,7 +216,6 @@ class GroupDpUnified : public Mechanism {
   explicit GroupDpUnified(double group_sensitivity)
       : group_sensitivity_(group_sensitivity) {}
   MechanismKind kind() const override { return MechanismKind::kGroupDp; }
-  std::string name() const override { return "GroupDP"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 
@@ -235,7 +230,6 @@ class Gk16Unified : public Mechanism {
   Gk16Unified(std::vector<Matrix> transitions, std::size_t length)
       : transitions_(std::move(transitions)), length_(length) {}
   MechanismKind kind() const override { return MechanismKind::kGk16; }
-  std::string name() const override { return "GK16"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 
@@ -252,7 +246,6 @@ class WassersteinUnified : public Mechanism {
       WassersteinBackend backend = WassersteinBackend::kQuantile)
       : pairs_(std::move(pairs)), backend_(backend) {}
   MechanismKind kind() const override { return MechanismKind::kWasserstein; }
-  std::string name() const override { return "Wasserstein"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 
@@ -268,7 +261,6 @@ class MqmGeneralUnified : public Mechanism {
                     MqmAnalyzeOptions options = {})
       : thetas_(std::move(thetas)), options_(options) {}
   MechanismKind kind() const override { return MechanismKind::kMqmGeneral; }
-  std::string name() const override { return "MQM"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 
@@ -305,7 +297,6 @@ class MqmExactUnified : public Mechanism {
                   ChainUnifiedOptions options = {})
       : thetas_(std::move(thetas)), length_(length), options_(options) {}
   MechanismKind kind() const override { return MechanismKind::kMqmExact; }
-  std::string name() const override { return "MQMExact"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
   /// Chain-length-free fingerprint + resumable analysis: plans for longer
@@ -332,7 +323,6 @@ class MqmExactFreeInitialUnified : public Mechanism {
       : transitions_(std::move(transitions)), length_(length),
         options_(options) {}
   MechanismKind kind() const override { return MechanismKind::kMqmExact; }
-  std::string name() const override { return "MQMExact(free-initial)"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
   /// Chain-length-free fingerprint + resumable analysis: plans for longer
@@ -359,7 +349,6 @@ class MqmApproxUnified : public Mechanism {
   MqmApproxUnified(const std::vector<MarkovChain>& thetas, std::size_t length,
                    ChainUnifiedOptions options = {});
   MechanismKind kind() const override { return MechanismKind::kMqmApprox; }
-  std::string name() const override { return "MQMApprox"; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 

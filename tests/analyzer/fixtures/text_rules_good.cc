@@ -28,8 +28,3 @@ int MarkedNoise() {
   // A deliberate exception with an inline justification is suppressed:
   return rand();  // pf:allow(unseeded-randomness): fixture proves markers work
 }
-
-int MarkedLegacy() {
-  // The legacy spelling must keep working too:
-  return rand();  // lint:allow(unseeded-randomness): legacy marker honored
-}

@@ -366,32 +366,20 @@ TEST(BatchServingLedgerTest, QuiltMixRefusedWholeChargingNothing) {
   EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.0);
 }
 
-TEST(BatchServingLedgerTest, InFlightCapShedsBatchBeforeCharging) {
+TEST(BatchServingLedgerTest, QueueFullShedsBatchBeforeCharging) {
   EngineOptions engine_options;
   engine_options.num_threads = 1;
+  engine_options.max_queue_depth = 1;
   auto engine =
       PrivacyEngine::Create(ModelSpec::ChainClass({Chain({0.6, 0.4})}, 24),
                             engine_options)
           .ValueOrDie();
-  SessionOptions options;
-  options.max_in_flight = 1;
-  auto session = engine->CreateSession(options);
+  auto session = engine->CreateSession();
   const StateSequence data = ServeData(24);
 
-  // Occupy the single in-flight slot with a release that blocks until we
-  // let it finish.
-  std::promise<void> gate;
-  std::shared_future<void> opened = gate.get_future().share();
-  auto blocker = session->Submit(
-      QuerySpec::CustomScalar(
-          "serving-blocker",
-          [opened](const StateSequence&) {
-            opened.wait();
-            return 1.0;
-          },
-          1.0, 0.5),
-      data);
-  ASSERT_EQ(session->in_flight(), 1u);
+  // Occupy the only queue slot.
+  Result<Executor::Permit> held = engine->executor().TryAcquire();
+  ASSERT_TRUE(held.ok());
 
   BatchQuerySpec batch;
   batch.Add(QuerySpec::Sum(0.5)).Add(QuerySpec::Mean(0.5));
@@ -399,32 +387,36 @@ TEST(BatchServingLedgerTest, InFlightCapShedsBatchBeforeCharging) {
   ASSERT_FALSE(shed.ok());
   EXPECT_EQ(shed.status().code(), StatusCode::kUnavailable)
       << shed.status().ToString();
-
-  gate.set_value();
-  ASSERT_TRUE(blocker.get().ok());
-  // Only the blocking scalar release ever charged; the shed batch did not.
-  EXPECT_EQ(session->num_releases(), 1u);
-  EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.5);
+  EXPECT_EQ(session->num_releases(), 0u);
+  EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.0);
 
   // With the slot free the same batch is admitted whole.
+  { auto drop = std::move(held).value(); }
   ASSERT_TRUE(session->SubmitColumnar(batch, data).get().ok());
-  EXPECT_EQ(session->num_releases(), 3u);
+  EXPECT_EQ(session->num_releases(), 2u);
+  EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 1.0);
 }
 
 TEST(BatchServingLedgerTest, ColdShedAndExpiredDeadlineChargeNothing) {
-  auto engine = LedgerEngine(24);
+  EngineOptions engine_options;
+  engine_options.shed_cold_queue_depth = 1;
+  auto engine =
+      PrivacyEngine::Create(ModelSpec::ChainClass({Chain({0.6, 0.4})}, 24),
+                            engine_options)
+          .ValueOrDie();
   auto session = engine->CreateSession();
   const StateSequence data = ServeData(24);
   BatchQuerySpec batch;
   batch.Add(QuerySpec::Sum(0.77));  // Never analyzed: cold.
 
-  RequestOptions warm_only;
-  warm_only.allow_cold_analysis = false;
-  Result<BatchReleaseResult> cold =
-      session->SubmitColumnar(batch, data, warm_only).get();
+  // One held permit puts the queue at the shed threshold.
+  Result<Executor::Permit> load = engine->executor().TryAcquire();
+  ASSERT_TRUE(load.ok());
+  Result<BatchReleaseResult> cold = session->SubmitColumnar(batch, data).get();
   ASSERT_FALSE(cold.ok());
   EXPECT_EQ(cold.status().code(), StatusCode::kUnavailable)
       << cold.status().ToString();
+  { auto drop = std::move(load).value(); }
 
   RequestOptions expired;
   expired.deadline = Deadline::Expired();

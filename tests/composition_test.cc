@@ -84,6 +84,12 @@ TEST(CompositionTest, MatchesActiveQuiltPreCheck) {
   ASSERT_TRUE(acc.RecordReleaseStrict(1.0, SomeQuilt()).ok());
   EXPECT_TRUE(acc.MatchesActiveQuilt(SomeQuilt()));
   EXPECT_FALSE(acc.MatchesActiveQuilt(ChainQuilt(10, 5, 1, 1).ValueOrDie()));
+  // Only target, quilt and nearby count identify an active quilt: the
+  // explicit nearby / remote lists do not.
+  MarkovQuilt listed = SomeQuilt();
+  listed.nearby = {4, 5, 6};
+  listed.remote = {0, 9};
+  EXPECT_TRUE(acc.MatchesActiveQuilt(listed));
   // The pre-check does not mutate the ledger.
   EXPECT_EQ(acc.num_releases(), 1u);
 }

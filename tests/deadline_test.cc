@@ -223,19 +223,6 @@ TEST(DeadlineTest, DeadlineExpiringMidAnalysisCancelsAndRetrySucceeds) {
             reference->Compile(QuerySpec::Mean(1.0)).ValueOrDie().plan->sigma);
 }
 
-// EngineOptions::analysis_timeout_ms bounds every analysis engine-wide,
-// with no per-request deadline in sight.
-TEST(DeadlineTest, EngineWideAnalysisTimeoutApplies) {
-  EngineOptions options;
-  options.allow_stationary_shortcut = false;
-  options.analysis_timeout_ms = 1;
-  const ModelSpec model = ModelSpec::ChainClass({WideChain(25)}, 20'000);
-  auto engine = PrivacyEngine::Create(model, options).ValueOrDie();
-  const auto compiled = engine->Compile(QuerySpec::Mean(1.0));
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.status().code(), StatusCode::kDeadlineExceeded);
-}
-
 // The budget-safety contract at the session boundary: a timed-out ticket
 // never debits epsilon, whether refused up front or cancelled mid-analysis.
 TEST(DeadlineTest, ExpiredDeadlineNeverDebitsTheLedger) {

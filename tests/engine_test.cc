@@ -367,7 +367,7 @@ TEST(PrivacyEngineTest, LargeStructuredNetworksRouteToMqmGeneral) {
 
 TEST(PrivacyEngineTest, NetworkWidthCutoffRefusesDenseModels) {
   // An 18-node collider: the child's 17 parents all marry, a 17-clique —
-  // min-fill width 17 > the default cutoff of 16.
+  // min-fill width 17 > kNetworkWidthCutoff (16).
   BayesianNetwork dense;
   Rng rng(3);
   ASSERT_TRUE(dense.AddNode("p0", 2, {}, Matrix{{0.5, 0.5}}).ok());
@@ -388,12 +388,7 @@ TEST(PrivacyEngineTest, NetworkWidthCutoffRefusesDenseModels) {
   const Result<MechanismKind> refused = SelectMechanism(model, EngineOptions{});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
-  // Raising the cutoff admits it again...
-  EngineOptions relaxed;
-  relaxed.network_width_cutoff = 20;
-  EXPECT_EQ(SelectMechanism(model, relaxed).ValueOrDie(),
-            MechanismKind::kMqmGeneral);
-  // ... and an explicit override bypasses the screen entirely.
+  // An explicit override bypasses the screen entirely.
   EngineOptions forced;
   forced.mechanism = MechanismKind::kMqmGeneral;
   EXPECT_EQ(SelectMechanism(model, forced).ValueOrDie(),

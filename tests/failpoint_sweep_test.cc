@@ -213,7 +213,8 @@ TEST_F(FailpointSweepTest, InjectedChargeRefusalNeverDebitsBudget) {
   EXPECT_FALSE(refused.get().ok());
   EXPECT_DOUBLE_EQ(session->EpsilonSpent(), 0.0);
   EXPECT_EQ(session->num_releases(), 0u);
-  EXPECT_EQ(session->in_flight(), 0u) << "refusal must return its slot";
+  EXPECT_EQ(engine->executor().queue_depth(), 0u)
+      << "refusal must return its permit";
 
   reg.ArmOnce("session.charge");
   EXPECT_FALSE(session->Release(QuerySpec::Sum(1.0), data).ok());

@@ -49,7 +49,7 @@ TEST(MechanismTest, AllSevenMechanismsReachable) {
 
   Rng rng(7);
   for (const auto& mechanism : mechanisms) {
-    SCOPED_TRACE(mechanism->name());
+    SCOPED_TRACE(MechanismKindName(mechanism->kind()));
     const Result<MechanismPlan> plan = mechanism->Analyze(1.0);
     ASSERT_TRUE(plan.ok()) << plan.status().ToString();
     EXPECT_EQ(plan.value().kind, mechanism->kind());

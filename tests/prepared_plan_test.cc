@@ -69,9 +69,8 @@ BatchQuerySpec MixedBatch() {
 }
 
 std::shared_ptr<const CompiledBatchPlan> Prepare(
-    PrivacyEngine* engine, const BatchQuerySpec& batch, std::size_t data_size,
-    const RequestOptions& request = {}) {
-  return PrepareBatchPlan(engine, batch, data_size, request).ValueOrDie();
+    PrivacyEngine* engine, const BatchQuerySpec& batch, std::size_t data_size) {
+  return PrepareBatchPlan(engine, batch, data_size).ValueOrDie();
 }
 
 /// Prepares `batch` until the engine stores it (a plan is stored on the
@@ -325,7 +324,7 @@ TEST(PreparedPlanTest, ExpiredDeadlineRefusedForCachedShapeChargingNothing) {
   EXPECT_TRUE(BitEqual(session->EpsilonSpent(), spent));
 }
 
-TEST(PreparedPlanTest, ColdAnalysisDisallowedIsServedFromHit) {
+TEST(PreparedPlanTest, HitIsServedWithoutTheAnalysisCache) {
   EngineOptions options;
   options.cache_capacity = 2;
   auto engine = PreparedEngine(kLength, options);
@@ -334,23 +333,23 @@ TEST(PreparedPlanTest, ColdAnalysisDisallowedIsServedFromHit) {
   batch.Add(QuerySpec::Sum(0.5));
   const auto stored = PrepareStored(engine.get(), batch, kLength);
 
-  // Push the epsilon-0.5 analysis and compiled query out of their caches:
-  // the compile path would now need a cold analysis.
+  // Push the epsilon-0.5 analysis out of the AnalysisCache: the compile
+  // path would now need a cold analysis.
   ASSERT_TRUE(engine->Compile(QuerySpec::Sum(0.3)).ok());
   ASSERT_TRUE(engine->Compile(QuerySpec::Sum(0.7)).ok());
-  RequestOptions warm_only;
-  warm_only.allow_cold_analysis = false;
-  Result<PrivacyEngine::CompiledQuery> compiled =
-      engine->Compile(QuerySpec::Sum(0.5), 0, warm_only);
-  ASSERT_FALSE(compiled.ok());
-  EXPECT_EQ(compiled.status().code(), StatusCode::kUnavailable);
+  const AnalysisCache::Stats before = engine->cache_stats();
 
-  EXPECT_EQ(Prepare(engine.get(), batch, kLength, warm_only).get(),
-            stored.get());
+  // A hit never compiles: neither the lookup nor a release served from it
+  // reads the AnalysisCache.
+  EXPECT_EQ(Prepare(engine.get(), batch, kLength).get(), stored.get());
   auto session = engine->CreateSession();
-  EXPECT_TRUE(
-      session->Release(QuerySpec::Sum(0.5), data, DataWindow::All(), warm_only)
-          .ok());
+  EXPECT_TRUE(session->Release(QuerySpec::Sum(0.5), data).ok());
+  EXPECT_EQ(engine->cache_stats().hits, before.hits);
+  EXPECT_EQ(engine->cache_stats().misses, before.misses);
+
+  // The analysis really was evicted: a direct compile misses.
+  ASSERT_TRUE(engine->Compile(QuerySpec::Sum(0.5)).ok());
+  EXPECT_EQ(engine->cache_stats().misses, before.misses + 1);
 }
 
 TEST(PreparedPlanTest, FifoEvictionAtCapacityTwo) {

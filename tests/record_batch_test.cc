@@ -1,13 +1,15 @@
-// RecordBatch: the arena-backed struct-of-arrays buffer under the columnar
-// serving path. Covers the Arrow-style list layout (offsets bracketing a
-// flat value buffer), the per-row accounting columns, move semantics (the
-// executor hands batches out through futures), and the single-arena
-// allocation contract.
+// RecordBatch: the struct-of-arrays buffer under the columnar serving
+// path. Covers the Arrow-style list layout (offsets bracketing a flat value
+// buffer), the per-row accounting columns, move semantics (the executor
+// hands batches out through futures), and the one-buffer allocation
+// contract.
 #include "common/record_batch.h"
 
 #include <gtest/gtest.h>
 
 #include <utility>
+
+#include "common/arena.h"
 
 namespace pf {
 namespace {
@@ -79,7 +81,7 @@ TEST(RecordBatchTest, MoveTransfersOwnership) {
   ASSERT_GT(retained, 0u);
 
   RecordBatch moved = std::move(batch);
-  // The arena (and thus every column pointer) moves, not the bytes.
+  // The buffer (and thus every column pointer) moves, not the bytes.
   EXPECT_EQ(moved.values(), values);
   EXPECT_EQ(moved.num_rows(), 2u);
   EXPECT_EQ(moved.retained_bytes(), retained);
@@ -87,11 +89,12 @@ TEST(RecordBatchTest, MoveTransfersOwnership) {
   EXPECT_EQ(moved.row_size(0), 2u);
 }
 
-TEST(RecordBatchTest, OneArenaBlockForTypicalBatches) {
-  // The columns are sized up front into one arena block: a 1k-row scalar
-  // batch must not grow the arena while the executor fills it.
+TEST(RecordBatchTest, OneBufferForTypicalBatches) {
+  // The columns are sized up front into one buffer: a 1k-row scalar batch
+  // owns exactly its columns and never grows while the executor fills it.
   RecordBatch batch = RecordBatch::Make(1024, 1024);
   const std::size_t before = batch.retained_bytes();
+  EXPECT_EQ(before, (1024 + 1025 + 4 * 1024) * 8u);
   for (std::size_t i = 0; i < 1024; ++i) {
     batch.offsets()[i] = i;
     batch.values()[i] = static_cast<double>(i);
@@ -101,6 +104,19 @@ TEST(RecordBatchTest, OneArenaBlockForTypicalBatches) {
     batch.tickets()[i] = i;
   }
   EXPECT_EQ(batch.retained_bytes(), before);
+}
+
+// A 1-row batch (every synchronous Release) owns a buffer of its own exact
+// size and touches no arena: the process-wide arena counters, which the
+// analysis memory stats aggregate, stay put.
+TEST(RecordBatchTest, SmallBatchOwnsExactBytesAndNoArena) {
+  const std::uint64_t blocks = Arena::TotalBlockAllocations();
+  const std::uint64_t retained = Arena::TotalRetainedBytes();
+  RecordBatch batch = RecordBatch::Make(1, 1);
+  EXPECT_EQ(Arena::TotalBlockAllocations(), blocks);
+  EXPECT_EQ(Arena::TotalRetainedBytes(), retained);
+  EXPECT_LT(batch.retained_bytes(), 4096u);
+  EXPECT_EQ(batch.retained_bytes(), (1 + 2 + 4) * 8u);
 }
 
 }  // namespace

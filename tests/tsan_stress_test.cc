@@ -468,20 +468,25 @@ TEST(TsanStressTest, ThreadPoolParallelForChurn) {
 
 // Executor: lazy worker spawn racing a flood of submits from several
 // threads, then a drain-on-destruct while futures are still outstanding.
-// The queue bound is wider than the flood, so nothing sheds here.
+// The queue is unbounded, so nothing sheds here.
 TEST(TsanStressTest, ExecutorSubmitFloodAndDrain) {
   std::vector<std::future<int>> futures;
   Mutex futures_mutex;
   {
-    Executor executor(kThreads);
+    ExecutorOptions options;
+    options.num_threads = kThreads;
+    options.max_queue_depth = 0;
+    Executor executor(options);
     std::vector<std::thread> submitters;
     for (int s = 0; s < 3; ++s) {
       submitters.emplace_back([&, s] {
         for (int i = 0; i < 50; ++i) {
-          auto future = executor.Submit([s, i] { return s * 1000 + i; });
-          ASSERT_TRUE(future.ok()) << future.status().ToString();
+          Result<Executor::Permit> permit = executor.TryAcquire();
+          ASSERT_TRUE(permit.ok()) << permit.status().ToString();
+          auto future = executor.Submit(std::move(permit).value(),
+                                        [s, i] { return s * 1000 + i; });
           MutexLock lock(futures_mutex);
-          futures.push_back(std::move(future).value());
+          futures.push_back(std::move(future));
         }
       });
     }

@@ -8,9 +8,9 @@
 
 Exit status: 0 clean, 1 findings, 2 usage/internal error.
 
-Findings are filtered in order: inline `pf:allow(<rule>): why` markers
-(and legacy `lint:allow`), then the checked-in baseline
-(tools/pf_analyzer/baseline.json). What survives is an error.
+Findings are filtered in order: inline `pf:allow(<rule>): why` markers,
+then the checked-in baseline (tools/pf_analyzer/baseline.json). What
+survives is an error.
 """
 
 import argparse
@@ -45,7 +45,7 @@ def build_model(files, file_args, args, root):
         model.file_text[rel] = text
         relpaths.append(rel)
         # Allow markers are collected for every file regardless of mode, so
-        # --regex-only honors the same pf:allow / lint:allow suppressions.
+        # --regex-only honors the same pf:allow suppressions.
         for lineno, line in enumerate(text.splitlines(), start=1):
             for m in ALLOW_RE.finditer(line):
                 model.allows.setdefault(rel, {}).setdefault(

@@ -1,8 +1,8 @@
 """compile_commands.json handling and default target discovery.
 
 With a compdb the analyzer sees exactly what the build compiles (and, in
-clang mode, each file's real flags); without one it walks src/ the same
-way the legacy linter did, so the tool works on a bare checkout.
+clang mode, each file's real flags); without one it walks src/, so the
+tool works on a bare checkout.
 """
 
 import json
@@ -26,8 +26,7 @@ def load_compdb(path: str, repo_root: str) -> Tuple[List[str], Dict[str, List[st
             continue  # Outside the repo (system/generated files).
         if not rel.startswith("src/"):
             # The invariants govern library code; tests/bench/examples may
-            # use ValueOrDie, .at(), etc. freely (same scope as the legacy
-            # linter).
+            # use ValueOrDie, .at(), etc. freely.
             continue
         if rel not in args:
             files.append(rel)

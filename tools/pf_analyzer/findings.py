@@ -8,8 +8,7 @@ text rules alike — so CI, the baseline, and humans all read one shape:
 
 Suppression: an inline `// pf:allow(<rule>): <why>` marker on the
 finding's line (or the line directly above, for markers that need a full
-comment line) exempts that line from <rule>. The legacy `lint:allow`
-spelling is accepted for compatibility with pre-analyzer annotations.
+comment line) exempts that line from <rule>.
 
 Baseline: a checked-in JSON list of finding fingerprints that are known
 and justified. Fingerprints hash (rule, file, function, normalized
@@ -72,7 +71,7 @@ RULE_ALIASES: Dict[str, Set[str]] = {
 
 
 def is_allowed(finding: Finding, allows: Dict[str, Dict[int, Set[str]]]) -> bool:
-    """True when an inline pf:allow/lint:allow marker exempts the finding
+    """True when an inline pf:allow marker exempts the finding
     (same line, or the line directly above for standalone comment lines)."""
     per_file = allows.get(finding.file, {})
     accepted = {finding.rule} | RULE_ALIASES.get(finding.rule, set())

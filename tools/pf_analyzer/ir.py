@@ -120,7 +120,7 @@ class SourceModel:
     functions: List[Function] = field(default_factory=list)
     fields: List[FieldInfo] = field(default_factory=list)
     method_decls: List[MethodDecl] = field(default_factory=list)
-    # file -> {line -> set(rule names allowed)} from pf:allow / lint:allow.
+    # file -> {line -> set(rule names allowed)} from pf:allow markers.
     allows: Dict[str, Dict[int, set]] = field(default_factory=dict)
     # file -> raw text (for text rules and reporting).
     file_text: Dict[str, str] = field(default_factory=dict)

@@ -3,14 +3,14 @@
 Produces (kind, text, line) tokens with comments and literals collapsed:
 string/char literals become a single 'str' token (their contents never
 matter to the passes), comments disappear entirely — but `pf:allow(...)`
-and legacy `lint:allow(...)` markers inside comments are collected per
-line, since they are the analyzer's suppression mechanism.
+markers inside comments are collected per line, since they are the
+analyzer's suppression mechanism.
 """
 
 import re
 from typing import Dict, List, Set, Tuple
 
-ALLOW_RE = re.compile(r"(?:pf|lint):allow\(([a-z0-9_-]+)\)")
+ALLOW_RE = re.compile(r"pf:allow\(([a-z0-9_-]+)\)")
 
 # Token kinds: 'id', 'num', 'str', 'punct'.
 Token = Tuple[str, str, int]
@@ -29,7 +29,7 @@ _PUNCT2 = (
 
 def tokenize(text: str):
     """Returns (tokens, allows) where allows maps line -> set of rule names
-    exempted on that line via pf:allow/lint:allow markers."""
+    exempted on that line via pf:allow markers."""
     tokens: List[Token] = []
     allows: Dict[int, Set[str]] = {}
     i, n, line = 0, len(text), 1

@@ -11,10 +11,10 @@ The serving contract (PR 2 pricing, PR 8 shed-before-charge ordering):
      happened. An uncharged path
      is a privacy bug: noise goes out without the ledger recording it.
 
-  2. In any function that acquires admission permits (`TryAcquire`,
-     `AdmitInFlight`), every charge must be dominated by a permit
-     acquisition: shedding happens BEFORE the ledger is touched, so a shed
-     request never debits epsilon.
+  2. In any function that acquires an executor permit (`TryAcquire`),
+     every charge must be dominated by a permit acquisition: shedding
+     happens BEFORE the ledger is touched, so a shed request never debits
+     epsilon.
 
 Escape: `// pf:allow(budget-flow): <why>` on the site, for release sites
 whose charge is structurally upstream (e.g. a task body that only runs
@@ -34,7 +34,7 @@ RELEASE_CALLS = {"ExecuteBatchPlan", "ReleaseVector"}
 ENQUEUE_CALL = "Submit"  # Only on a receiver mentioning the executor.
 CHARGE_CALLS = {"Charge", "RecordStrict", "RecordReleaseStrict",
                 "RecordBatchStrict", "ComposedBudgetAdmits"}
-PERMIT_CALLS = {"TryAcquire", "AdmitInFlight"}
+PERMIT_CALLS = {"TryAcquire"}
 
 
 def _is_release_call(call) -> bool:

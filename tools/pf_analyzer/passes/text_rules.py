@@ -1,12 +1,9 @@
-"""The line-regex rules: the six folded in from tools/lint_invariants.py
-plus noise-site.
+"""The line-regex rules: unseeded-randomness, fast-math-fma,
+naked-new-delete, value-or-die, raw-mutex, no-abort and noise-site.
 
 These are line-regex rules over comment/string-stripped source — the
 invariants that need no parse (and must keep working on hosts with no
-libclang, via `--regex-only`). The six legacy rules keep their names,
-patterns, scoping, and exemptions exactly so existing `lint:allow(<rule>)`
-markers keep their meaning; the analyzer's pf:allow spelling is the
-successor.
+libclang, via `--regex-only`). A `pf:allow(<rule>)` marker exempts a line.
 """
 
 import os

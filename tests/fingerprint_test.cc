@@ -11,6 +11,8 @@
 #include <set>
 #include <vector>
 
+#include "dist/discrete_distribution.h"
+#include "graphical/bayesian_network.h"
 #include "graphical/markov_chain.h"
 #include "pufferfish/mechanism.h"
 
@@ -151,6 +153,31 @@ TEST(FingerprintTest, KnownAnswerMqmExactFingerprint) {
            .ValueOrDie()},
       100);
   EXPECT_EQ(m.Fingerprint(), std::uint64_t{0xE7D0F49D9530435Bu});
+}
+
+TEST(FingerprintTest, KnownAnswerMqmGeneralFingerprint) {
+  // A three-node chain network under default MqmAnalyzeOptions. Pins the
+  // PFPLAN02 key of network plans (see KnownAnswerMqmExactFingerprint).
+  const MqmGeneralUnified m(
+      {BayesianNetwork::FromMarkovChain({0.5, 0.25, 0.25},
+                                        Matrix{{0.5, 0.25, 0.25},
+                                               {0.25, 0.5, 0.25},
+                                               {0.125, 0.375, 0.5}},
+                                        3)
+           .ValueOrDie()});
+  EXPECT_EQ(m.Fingerprint(), std::uint64_t{0x43B33AF9BD6E78F7u});
+}
+
+TEST(FingerprintTest, KnownAnswerWassersteinFingerprint) {
+  // Two conditional output pairs. Pins the PFPLAN02 key of output-pair
+  // plans (see KnownAnswerMqmExactFingerprint).
+  const auto dist = [](std::vector<DiscreteDistribution::Atom> atoms) {
+    return DiscreteDistribution::Make(std::move(atoms)).ValueOrDie();
+  };
+  const WassersteinUnified m(
+      {{dist({{0.0, 0.5}, {1.0, 0.5}}), dist({{0.0, 0.25}, {2.0, 0.75}})},
+       {dist({{1.0, 1.0}}), dist({{0.5, 0.125}, {3.0, 0.875}})}});
+  EXPECT_EQ(m.Fingerprint(), std::uint64_t{0x7083F30C16B201E7u});
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 // count distribution (0.1, 0.15, 0.5, 0.15, 0.1). The Wasserstein Mechanism
 // adds Lap(2/epsilon) noise to the infected count (W = 2) against group
 // differential privacy's Lap(4/epsilon) — half the noise at the same
-// epsilon-Pufferfish guarantee. Also benchmarks the three W_inf backends on
-// the clique pair.
+// epsilon-Pufferfish guarantee. Also benchmarks the three W_inf solvers on
+// the clique pair (two of them from reference/wasserstein_reference.h).
 #include <benchmark/benchmark.h>
 
 #include <cmath>
@@ -13,6 +13,7 @@
 #include "dist/wasserstein.h"
 #include "pufferfish/markov_quilt_mechanism.h"
 #include "pufferfish/mechanism.h"
+#include "reference/wasserstein_reference.h"
 
 namespace pf {
 namespace {
@@ -84,18 +85,19 @@ void BM_FluContactNetworkAnalyze(benchmark::State& state) {
 BENCHMARK(BM_FluContactNetworkAnalyze)->Arg(10)->Arg(30)->Unit(benchmark::kMillisecond);
 
 void BM_WinfBackend(benchmark::State& state) {
-  const auto backend = static_cast<WassersteinBackend>(state.range(0));
+  const auto solver = static_cast<WinfSolver>(state.range(0));
   const ConditionalOutputPair pair =
       FluCliqueModel::Contagion(24, 0.25).ValueOrDie()
           .CountQueryOutputPair()
           .ValueOrDie();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(WassersteinInf(pair.mu_i, pair.mu_j, backend));
+    benchmark::DoNotOptimize(
+        WassersteinInfBySolver(pair.mu_i, pair.mu_j, solver));
   }
-  switch (backend) {
-    case WassersteinBackend::kQuantile: state.SetLabel("quantile"); break;
-    case WassersteinBackend::kMaxFlow: state.SetLabel("maxflow"); break;
-    case WassersteinBackend::kLp: state.SetLabel("simplex LP"); break;
+  switch (solver) {
+    case WinfSolver::kQuantile: state.SetLabel("quantile"); break;
+    case WinfSolver::kMaxFlow: state.SetLabel("maxflow"); break;
+    case WinfSolver::kLp: state.SetLabel("simplex LP"); break;
   }
 }
 BENCHMARK(BM_WinfBackend)->Arg(0)->Arg(1)->Arg(2);

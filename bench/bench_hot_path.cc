@@ -144,8 +144,7 @@ void BM_WarmEliminationAllocs(benchmark::State& state) {
   for (int i = 0; i < 3; ++i) {
     const Status s =
         FactorConditionalJointInto(factors, arities, targets, evidence,
-                                   1u << 22, InferenceBackend::kAuto,
-                                   nullptr, &out);
+                                   1u << 22, nullptr, &out);
     if (!s.ok()) state.SkipWithError("inference");
   }
   std::size_t allocs = 0;
@@ -154,8 +153,7 @@ void BM_WarmEliminationAllocs(benchmark::State& state) {
     const std::size_t before = AllocCount();
     const Status s =
         FactorConditionalJointInto(factors, arities, targets, evidence,
-                                   1u << 22, InferenceBackend::kAuto,
-                                   nullptr, &out);
+                                   1u << 22, nullptr, &out);
     if (!s.ok()) state.SkipWithError("inference");
     allocs += AllocCount() - before;
     ++calls;

@@ -2,9 +2,9 @@
 // the PrivacyEngine front door (serving-path benches live in
 // bench_batch_serving.cc):
 //
-//  - AnalyzeMarkovQuiltMechanism on a 20-node binary Bayesian network
-//    (enumeration inference dominates; the per-node sigma_i searches fan
-//    out across the pool);
+//  - AnalyzeByEnumeration (reference/enumeration.h) on a 20-node binary
+//    Bayesian network (enumeration inference dominates; the per-node
+//    sigma_i searches fan out across the pool);
 //  - MQMExact free-initial analysis (matrix-power tables + per-node scans).
 //
 // Run with --benchmark_filter=. on a multicore host; the Arg is the thread
@@ -24,6 +24,7 @@
 #include "pufferfish/analysis_cache.h"
 #include "pufferfish/markov_quilt_mechanism.h"
 #include "pufferfish/mechanism.h"
+#include "reference/enumeration.h"
 
 namespace pf {
 namespace {
@@ -45,21 +46,19 @@ const std::vector<BayesianNetwork>& TwentyNodeClass() {
 }
 
 // The acceptance workload: Algorithm 2 on a 20-node network, scaled over
-// the per-node sigma_i loop. The enumeration backend is pinned — the
-// library default is now variable elimination (see
-// bench_general_network), which would turn this from a thread-scaling
-// workload into a microbenchmark.
+// the per-node sigma_i loop. It runs the enumeration oracle from the
+// reference library: pf_core's variable elimination (see
+// bench_general_network) would turn this from a thread-scaling workload
+// into a microbenchmark.
 void BM_GeneralAnalyze20Nodes(benchmark::State& state) {
   MqmAnalyzeOptions options;
   options.max_quilt_size = 1;  // Width-1 separators: ~20 quilts per node.
-  options.backend = InferenceBackend::kEnumeration;
   options.quilt_search = QuiltSearchMode::kExhaustive;
   options.num_threads = static_cast<std::size_t>(state.range(0));
   MqmAnalysis analysis;
   for (auto _ : state) {
     analysis =
-        AnalyzeMarkovQuiltMechanism(TwentyNodeClass(), kEpsilon, options)
-            .ValueOrDie();
+        AnalyzeByEnumeration(TwentyNodeClass(), kEpsilon, options).ValueOrDie();
     // bench_util's const-ref DoNotOptimize, not benchmark::DoNotOptimize:
     // the library's mutable-lvalue overload ("+m,r" inline asm)
     // miscompiles under GCC 12 / benchmark 1.7, leaving the variable

@@ -1,9 +1,9 @@
-// Dinic max-flow on small dense-ish graphs with real capacities. Used as the
-// combinatorial backend of the infinity-Wasserstein computation: a coupling
-// within distance t exists iff the bipartite transport network admits a flow
-// of value 1.
-#ifndef PUFFERFISH_DIST_MAXFLOW_H_
-#define PUFFERFISH_DIST_MAXFLOW_H_
+// Dinic max-flow on small dense-ish graphs with real capacities. The
+// combinatorial oracle of the reference W_inf solver
+// (reference/wasserstein_reference.h): a coupling within distance t exists
+// iff the bipartite transport network admits a flow of value 1.
+#ifndef PUFFERFISH_REFERENCE_MAXFLOW_H_
+#define PUFFERFISH_REFERENCE_MAXFLOW_H_
 
 #include <cstddef>
 #include <vector>
@@ -45,4 +45,4 @@ class MaxFlow {
 
 }  // namespace pf
 
-#endif  // PUFFERFISH_DIST_MAXFLOW_H_
+#endif  // PUFFERFISH_REFERENCE_MAXFLOW_H_

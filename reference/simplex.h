@@ -1,10 +1,10 @@
 // A small dense two-phase primal simplex solver for standard-form LPs
 //   min c'x  s.t.  A x = b, x >= 0.
-// Used as the LP backend of the infinity-Wasserstein computation (transport
-// polytope feasibility) and validated against max-flow and brute-force
-// vertex enumeration by the property tests.
-#ifndef PUFFERFISH_DIST_SIMPLEX_H_
-#define PUFFERFISH_DIST_SIMPLEX_H_
+// The LP oracle of the reference W_inf solver (transport-polytope
+// feasibility, reference/wasserstein_reference.h), validated against
+// max-flow and brute-force vertex enumeration by the property tests.
+#ifndef PUFFERFISH_REFERENCE_SIMPLEX_H_
+#define PUFFERFISH_REFERENCE_SIMPLEX_H_
 
 #include "common/matrix.h"
 #include "common/status.h"
@@ -31,4 +31,4 @@ Result<Vector> FindFeasiblePoint(const Matrix& a, const Vector& b);
 
 }  // namespace pf
 
-#endif  // PUFFERFISH_DIST_SIMPLEX_H_
+#endif  // PUFFERFISH_REFERENCE_SIMPLEX_H_

@@ -4,9 +4,6 @@
 #include <cmath>
 #include <vector>
 
-#include "dist/maxflow.h"
-#include "dist/simplex.h"
-
 namespace pf {
 
 namespace {
@@ -50,105 +47,12 @@ double QuantileWinf(const DiscreteDistribution& mu,
   return worst;
 }
 
-// Coupling feasibility within distance t, decided by Dinic max-flow on the
-// bipartite transport network (edges only between atoms within distance t).
-bool FlowFeasible(const DiscreteDistribution& mu, const DiscreteDistribution& nu,
-                  double t) {
-  const auto& a = mu.atoms();
-  const auto& b = nu.atoms();
-  MaxFlow flow(a.size() + b.size() + 2);
-  const std::size_t source = 0;
-  const std::size_t sink = a.size() + b.size() + 1;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    flow.AddEdge(source, 1 + i, a[i].p);
-  }
-  for (std::size_t j = 0; j < b.size(); ++j) {
-    flow.AddEdge(1 + a.size() + j, sink, b[j].p);
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      if (std::abs(a[i].x - b[j].x) <= t + kDistanceTol) {
-        flow.AddEdge(1 + i, 1 + a.size() + j, 2.0);
-      }
-    }
-  }
-  return flow.Compute(source, sink) >= 1.0 - 1e-7;
-}
-
-// The same feasibility question as a transport-polytope LP (row sums mu,
-// column sums nu, variables only for allowed cells).
-bool LpFeasible(const DiscreteDistribution& mu, const DiscreteDistribution& nu,
-                double t) {
-  const auto& a = mu.atoms();
-  const auto& b = nu.atoms();
-  std::vector<std::pair<std::size_t, std::size_t>> cells;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      if (std::abs(a[i].x - b[j].x) <= t + kDistanceTol) cells.emplace_back(i, j);
-    }
-  }
-  if (cells.empty()) return false;
-  Matrix constraints(a.size() + b.size(), cells.size(), 0.0);
-  Vector rhs(a.size() + b.size(), 0.0);
-  for (std::size_t v = 0; v < cells.size(); ++v) {
-    constraints(cells[v].first, v) = 1.0;
-    constraints(a.size() + cells[v].second, v) = 1.0;
-  }
-  for (std::size_t i = 0; i < a.size(); ++i) rhs[i] = a[i].p;
-  for (std::size_t j = 0; j < b.size(); ++j) rhs[a.size() + j] = b[j].p;
-  return FindFeasiblePoint(constraints, rhs).ok();
-}
-
-bool FeasibleWithin(const DiscreteDistribution& mu,
-                    const DiscreteDistribution& nu, double t,
-                    WassersteinBackend backend) {
-  switch (backend) {
-    case WassersteinBackend::kQuantile:
-      return QuantileWinf(mu, nu) <= t + kDistanceTol;
-    case WassersteinBackend::kMaxFlow:
-      return FlowFeasible(mu, nu, t);
-    case WassersteinBackend::kLp:
-      return LpFeasible(mu, nu, t);
-  }
-  return false;
-}
-
-// Smallest feasible candidate distance via bisection over the sorted set of
-// pairwise atom distances (W_inf always equals one of them).
-double BisectWinf(const DiscreteDistribution& mu, const DiscreteDistribution& nu,
-                  WassersteinBackend backend) {
-  const auto& a = mu.atoms();
-  const auto& b = nu.atoms();
-  std::vector<double> candidates;
-  candidates.reserve(a.size() * b.size());
-  for (const auto& atom_a : a) {
-    for (const auto& atom_b : b) {
-      candidates.push_back(std::abs(atom_a.x - atom_b.x));
-    }
-  }
-  std::sort(candidates.begin(), candidates.end());
-  candidates.erase(std::unique(candidates.begin(), candidates.end()),
-                   candidates.end());
-  std::size_t lo = 0, hi = candidates.size() - 1;
-  while (lo < hi) {
-    const std::size_t mid = lo + (hi - lo) / 2;
-    if (FeasibleWithin(mu, nu, candidates[mid], backend)) {
-      hi = mid;
-    } else {
-      lo = mid + 1;
-    }
-  }
-  return candidates[lo];
-}
-
 }  // namespace
 
 Result<double> WassersteinInf(const DiscreteDistribution& mu,
-                              const DiscreteDistribution& nu,
-                              WassersteinBackend backend) {
+                              const DiscreteDistribution& nu) {
   PF_RETURN_NOT_OK(CheckPair(mu, nu));
-  if (backend == WassersteinBackend::kQuantile) return QuantileWinf(mu, nu);
-  return BisectWinf(mu, nu, backend);
+  return QuantileWinf(mu, nu);
 }
 
 Result<double> Wasserstein1(const DiscreteDistribution& mu,
@@ -171,11 +75,13 @@ Result<double> Wasserstein1(const DiscreteDistribution& mu,
 
 Result<bool> CouplingFeasibleWithin(const DiscreteDistribution& mu,
                                     const DiscreteDistribution& nu,
-                                    double threshold,
-                                    WassersteinBackend backend) {
+                                    double threshold) {
   PF_RETURN_NOT_OK(CheckPair(mu, nu));
-  if (threshold < 0.0) return Status::InvalidArgument("negative threshold");
-  return FeasibleWithin(mu, nu, threshold, backend);
+  // Written so that NaN fails too.
+  if (!(threshold >= 0.0)) {
+    return Status::InvalidArgument("threshold must be a number >= 0");
+  }
+  return QuantileWinf(mu, nu) <= threshold + kDistanceTol;
 }
 
 }  // namespace pf

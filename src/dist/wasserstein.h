@@ -1,16 +1,11 @@
 // The infinity-Wasserstein distance W_inf (Definition 3.1) between finitely
 // supported distributions on R: the smallest t such that some coupling moves
-// every unit of mass a distance at most t. Three interchangeable backends:
+// every unit of mass a distance at most t. On the line the monotone
+// (quantile) coupling is W_inf-optimal, so W_inf has the closed form
+// sup_u |F_mu^{-1}(u) - F_nu^{-1}(u)|, computed here in one merge pass.
 //
-//  - kQuantile: the closed-form 1-D solution sup_u |F_mu^{-1}(u) -
-//    F_nu^{-1}(u)| (the monotone coupling is W_inf-optimal on the line);
-//  - kMaxFlow: bisection over the candidate distances with Dinic max-flow
-//    deciding coupling feasibility;
-//  - kLp: the same bisection with the simplex solver deciding feasibility of
-//    the transport polytope.
-//
-// The flow/LP backends exist to validate the closed form (property tests)
-// and to generalize to non-metric ground costs later.
+// Max-flow and LP solvers that cross-check this closed form live in the
+// test-only reference library (reference/wasserstein_reference.h).
 #ifndef PUFFERFISH_DIST_WASSERSTEIN_H_
 #define PUFFERFISH_DIST_WASSERSTEIN_H_
 
@@ -19,28 +14,20 @@
 
 namespace pf {
 
-/// Algorithm used to compute W_inf / decide coupling feasibility.
-enum class WassersteinBackend {
-  kQuantile = 0,
-  kMaxFlow = 1,
-  kLp = 2,
-};
-
 /// \brief W_inf(mu, nu). Fails on empty distributions.
-Result<double> WassersteinInf(
-    const DiscreteDistribution& mu, const DiscreteDistribution& nu,
-    WassersteinBackend backend = WassersteinBackend::kQuantile);
+Result<double> WassersteinInf(const DiscreteDistribution& mu,
+                              const DiscreteDistribution& nu);
 
 /// \brief W_1(mu, nu) = integral |F_mu - F_nu| (earth-mover distance).
 Result<double> Wasserstein1(const DiscreteDistribution& mu,
                             const DiscreteDistribution& nu);
 
 /// \brief True iff a coupling of (mu, nu) exists moving every unit of mass a
-/// distance <= `threshold` (within a small tolerance).
-Result<bool> CouplingFeasibleWithin(
-    const DiscreteDistribution& mu, const DiscreteDistribution& nu,
-    double threshold,
-    WassersteinBackend backend = WassersteinBackend::kQuantile);
+/// distance <= `threshold` (within a small tolerance). Fails on empty
+/// distributions and on a threshold that is not a number >= 0.
+Result<bool> CouplingFeasibleWithin(const DiscreteDistribution& mu,
+                                    const DiscreteDistribution& nu,
+                                    double threshold);
 
 }  // namespace pf
 

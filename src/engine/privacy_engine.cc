@@ -202,13 +202,11 @@ Result<std::unique_ptr<Mechanism>> BuildMechanism(const ModelSpec& model,
       return MakeMechanism<Gk16Unified>(std::move(transitions), model.length);
     }
     case MechanismKind::kWasserstein:
-      return MakeMechanism<WassersteinUnified>(model.pairs,
-                                               WassersteinBackend::kQuantile);
+      return MakeMechanism<WassersteinUnified>(model.pairs);
     case MechanismKind::kMqmGeneral: {
       MqmAnalyzeOptions mqm;
       mqm.max_quilt_size = options.max_quilt_size;
       mqm.num_threads = num_threads;
-      mqm.backend = options.network_backend;
       mqm.separator = options.network_separator;
       return MakeMechanism<MqmGeneralUnified>(model.networks, mqm);
     }

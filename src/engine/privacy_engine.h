@@ -114,9 +114,10 @@ struct EngineOptions {
   /// Radius / sphere-size caps for the separator-driven quilt search that
   /// large networks switch to (see SeparatorQuilts).
   SeparatorSearchOptions network_separator;
-  /// Inference backend for general-network (Algorithm 2) max-influence
-  /// conditionals; kAuto resolves to variable elimination, whose cost is
-  /// exponential only in the network's induced treewidth.
+  /// Not read: general-network (Algorithm 2) max-influence inference is
+  /// always variable elimination, whose cost is exponential only in the
+  /// network's induced treewidth. Kept so that callers that copy it into
+  /// MqmAnalyzeOptions::backend still compile.
   InferenceBackend network_backend = InferenceBackend::kAuto;
   /// Executor queue bound: submissions beyond this many waiting tasks are
   /// shed with Unavailable (see ExecutorOptions::max_queue_depth; 0 =
@@ -263,7 +264,7 @@ class PrivacyEngine {
     /// True when the Section 4.4.1 stationary shortcut served the plan.
     bool used_stationary_shortcut = false;
     /// Network plans: largest elimination clique (minus one) the influence
-    /// inferences actually materialized. 0 under the enumeration backend.
+    /// inferences actually materialized.
     std::size_t induced_width = 0;
     /// Network plans: min-fill induced width of the (union) moral graph —
     /// the treewidth upper bound the selection policy screened against.

@@ -108,48 +108,9 @@ std::vector<int> BayesianNetwork::Arities() const {
 
 Result<Vector> BayesianNetwork::ConditionalJoint(
     const std::vector<int>& targets,
-    const std::vector<std::pair<int, int>>& evidence, std::size_t limit,
-    InferenceBackend backend) const {
-  std::size_t cells = 1;
-  for (int t : targets) {
-    if (t < 0 || static_cast<std::size_t>(t) >= nodes_.size()) {
-      return Status::InvalidArgument("target index out of range");
-    }
-    cells *= static_cast<std::size_t>(nodes_[t].arity);
-  }
-  for (const auto& [var, val] : evidence) {
-    if (var < 0 || static_cast<std::size_t>(var) >= nodes_.size() || val < 0 ||
-        val >= nodes_[static_cast<std::size_t>(var)].arity) {
-      return Status::InvalidArgument("evidence out of range");
-    }
-  }
-  if (backend != InferenceBackend::kEnumeration) {
-    return FactorConditionalJoint(Factors(), Arities(), targets, evidence,
-                                  limit, InferenceBackend::kVariableElimination);
-  }
-  // Reference path: the original full-joint enumeration, byte-for-byte.
-  Vector mass(cells, 0.0);
-  double evidence_mass = 0.0;
-  PF_RETURN_NOT_OK(ForEachAssignment(
-      [&](const Assignment& a, double p) {
-        for (const auto& [var, val] : evidence) {
-          if (a[static_cast<std::size_t>(var)] != val) return;
-        }
-        evidence_mass += p;
-        std::size_t idx = 0;
-        for (int t : targets) {
-          idx = idx * static_cast<std::size_t>(
-                          nodes_[static_cast<std::size_t>(t)].arity) +
-                static_cast<std::size_t>(a[static_cast<std::size_t>(t)]);
-        }
-        mass[idx] += p;
-      },
-      limit));
-  if (evidence_mass <= 0.0) {
-    return Status::FailedPrecondition("evidence has probability zero");
-  }
-  for (double& v : mass) v /= evidence_mass;
-  return mass;
+    const std::vector<std::pair<int, int>>& evidence, std::size_t limit) const {
+  // FactorConditionalJoint validates the indices.
+  return FactorConditionalJoint(Factors(), Arities(), targets, evidence, limit);
 }
 
 Result<Vector> BayesianNetwork::Marginal(int variable) const {

@@ -3,11 +3,11 @@
 // with conditional probability tables; the joint factorizes as
 // P(X_1..X_n) = prod_i P(X_i | parents(X_i)).
 //
-// Inference defaults to variable elimination (graphical/elimination.h),
-// whose cost is exponential only in the induced treewidth — trees, stars,
-// and grids of hundreds of nodes are fine. The original full-joint
-// enumeration survives as InferenceBackend::kEnumeration, the reference
-// ground truth (exponential in node count, so ~20 binary nodes).
+// Inference runs on variable elimination (graphical/elimination.h), whose
+// cost is exponential only in the induced treewidth — trees, stars, and
+// grids of hundreds of nodes are fine. Full-joint enumeration (exponential
+// in node count, so ~20 binary nodes) is the test-only oracle
+// EnumerationConditionalJoint (reference/enumeration.h).
 #ifndef PUFFERFISH_GRAPHICAL_BAYESIAN_NETWORK_H_
 #define PUFFERFISH_GRAPHICAL_BAYESIAN_NETWORK_H_
 
@@ -67,16 +67,13 @@ class BayesianNetwork {
   /// \brief Conditional distribution of variable set `targets` given
   /// `evidence` (pairs of variable index and value). Returned as a flat mass
   /// vector over the mixed-radix product of target arities (first target
-  /// most significant). Fails if the evidence has probability 0, or with
-  /// an error if the backend's guarded cost measure exceeds `limit`: the
-  /// joint-assignment space for kEnumeration (OutOfRange, the historical
-  /// behavior), the largest elimination clique table for the
-  /// variable-elimination default (InvalidArgument).
+  /// most significant). Fails FailedPrecondition if the evidence has
+  /// probability 0, and InvalidArgument if an index is out of range or the
+  /// largest elimination clique table exceeds `limit` cells.
   Result<Vector> ConditionalJoint(
       const std::vector<int>& targets,
       const std::vector<std::pair<int, int>>& evidence,
-      std::size_t limit = 1u << 24,
-      InferenceBackend backend = InferenceBackend::kAuto) const;
+      std::size_t limit = 1u << 24) const;
 
   /// Marginal distribution of one variable.
   Result<Vector> Marginal(int variable) const;

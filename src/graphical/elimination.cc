@@ -12,15 +12,6 @@
 
 namespace pf {
 
-const char* InferenceBackendName(InferenceBackend backend) {
-  switch (backend) {
-    case InferenceBackend::kAuto: return "auto";
-    case InferenceBackend::kVariableElimination: return "elimination";
-    case InferenceBackend::kEnumeration: return "enumeration";
-  }
-  return "unknown";
-}
-
 void EliminationStats::MergeMax(const EliminationStats& other) {
   induced_width = std::max(induced_width, other.induced_width);
   peak_factor_bytes = std::max(peak_factor_bytes, other.peak_factor_bytes);
@@ -215,77 +206,6 @@ Result<std::size_t> CheckedCells(const std::vector<int>& arities,
     cells *= static_cast<std::size_t>(a);
   }
   return cells;
-}
-
-// Reference backend: walks the full joint-assignment space with
-// incrementally maintained per-factor indices. Exponential in the variable
-// count; `limit` guards the assignment-space size.
-Result<Vector> EnumerationConditionalJoint(
-    const std::vector<Factor>& factors, const std::vector<int>& arities,
-    const std::vector<int>& targets,
-    const std::vector<std::pair<int, int>>& evidence, std::size_t limit) {
-  PF_ASSIGN_OR_RETURN(const std::size_t cells,
-                      CheckedCells(arities, limit, "joint-assignment space"));
-  const std::size_t n = arities.size();
-  // Per-factor stride of each variable digit (0 when absent from scope).
-  std::vector<std::vector<std::size_t>> stride(
-      factors.size(), std::vector<std::size_t>(n, 0));
-  for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-    const Factor& f = factors[fi];
-    for (std::size_t p = 0; p < f.scope.size(); ++p) {
-      std::size_t s = 1;
-      for (std::size_t i = p + 1; i < f.scope.size(); ++i) {
-        s *= static_cast<std::size_t>(f.arity[i]);
-      }
-      stride[fi][static_cast<std::size_t>(f.scope[p])] = s;
-    }
-  }
-  std::size_t target_cells = 1;
-  for (int t : targets) {
-    target_cells *= static_cast<std::size_t>(arities[static_cast<std::size_t>(t)]);
-  }
-  Vector mass(target_cells, 0.0);
-  double evidence_mass = 0.0;
-  std::vector<int> digits(n, 0);
-  std::vector<std::size_t> idx(factors.size(), 0);
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    bool matches = true;
-    for (const auto& [var, val] : evidence) {
-      if (digits[static_cast<std::size_t>(var)] != val) {
-        matches = false;
-        break;
-      }
-    }
-    if (matches) {
-      double p = 1.0;
-      for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-        p *= factors[fi].values[idx[fi]];
-      }
-      if (p > 0.0) {
-        evidence_mass += p;
-        std::size_t ti = 0;
-        for (int t : targets) {
-          ti = ti * static_cast<std::size_t>(arities[static_cast<std::size_t>(t)]) +
-               static_cast<std::size_t>(digits[static_cast<std::size_t>(t)]);
-        }
-        mass[ti] += p;
-      }
-    }
-    for (std::size_t d = n; d-- > 0;) {
-      ++digits[d];
-      for (std::size_t fi = 0; fi < factors.size(); ++fi) idx[fi] += stride[fi][d];
-      if (digits[d] < arities[d]) break;
-      digits[d] = 0;
-      for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-        idx[fi] -= stride[fi][d] * static_cast<std::size_t>(arities[d]);
-      }
-    }
-  }
-  if (!(evidence_mass > 0.0)) {
-    return Status::FailedPrecondition("evidence has probability zero");
-  }
-  for (double& v : mass) v /= evidence_mass;
-  return mass;
 }
 
 // ----------------------------------------------------------------------
@@ -674,11 +594,10 @@ Result<Vector> FactorConditionalJoint(
     const std::vector<Factor>& factors, const std::vector<int>& arities,
     const std::vector<int>& targets,
     const std::vector<std::pair<int, int>>& evidence, std::size_t limit,
-    InferenceBackend backend, EliminationStats* stats) {
+    EliminationStats* stats) {
   Vector out;
   PF_RETURN_NOT_OK(FactorConditionalJointInto(factors, arities, targets,
-                                              evidence, limit, backend, stats,
-                                              &out));
+                                              evidence, limit, stats, &out));
   return out;
 }
 
@@ -686,15 +605,8 @@ Status FactorConditionalJointInto(
     const std::vector<Factor>& factors, const std::vector<int>& arities,
     const std::vector<int>& targets,
     const std::vector<std::pair<int, int>>& evidence, std::size_t limit,
-    InferenceBackend backend, EliminationStats* stats, Vector* out) {
+    EliminationStats* stats, Vector* out) {
   PF_RETURN_NOT_OK(ValidateQuery(arities, targets, evidence));
-  if (backend == InferenceBackend::kEnumeration) {
-    PF_ASSIGN_OR_RETURN(Vector mass,
-                        EnumerationConditionalJoint(factors, arities, targets,
-                                                    evidence, limit));
-    *out = std::move(mass);
-    return Status::OK();
-  }
   return EliminationConditionalJointInto(factors, arities, targets, evidence,
                                          limit, stats, out);
 }

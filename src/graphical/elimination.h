@@ -1,10 +1,11 @@
-// Structured exact inference by variable elimination. Where the
-// enumeration reference path walks the full joint-assignment space
-// (exponential in NODE COUNT), elimination sums variables out one at a
-// time along a min-fill ordering, so its cost is exponential only in the
-// INDUCED WIDTH of that ordering (an upper bound on treewidth) — constant
-// for chains, trees, and stars, min(rows, cols) for grids. This is what
-// lets Algorithm 2 run on networks of hundreds of nodes instead of ~20.
+// Structured exact inference by variable elimination. Elimination sums
+// variables out one at a time along a min-fill ordering, so its cost is
+// exponential only in the INDUCED WIDTH of that ordering (an upper bound
+// on treewidth) — constant for chains, trees, and stars, min(rows, cols)
+// for grids — where a walk of the full joint-assignment space is
+// exponential in NODE COUNT. This is what lets Algorithm 2 run on networks
+// of hundreds of nodes instead of ~20. (That full-joint walk survives only
+// as the test-only oracle in reference/enumeration.h.)
 //
 // The tree-decomposition view (WCOJ / junction-tree literature): each
 // elimination step materializes one bag of the decomposition; the `limit`
@@ -21,21 +22,13 @@
 
 namespace pf {
 
-/// How conditional distributions are computed from a factor system.
+/// Inference selector of MqmAnalyzeOptions::backend and
+/// EngineOptions::network_backend. Both values mean variable elimination,
+/// the only inference in pf_core, and nothing in pf_core reads the fields.
 enum class InferenceBackend {
-  /// Pick automatically: variable elimination (the scalable default).
   kAuto,
-  /// Sum variables out along a min-fill order; cost exponential in the
-  /// induced width, `limit` guards the largest intermediate table.
   kVariableElimination,
-  /// Walk the full joint-assignment space; cost exponential in node
-  /// count, `limit` guards the assignment-space size. Kept as the
-  /// reference ground truth for the elimination path.
-  kEnumeration,
 };
-
-/// Human-readable backend name ("elimination", "enumeration").
-const char* InferenceBackendName(InferenceBackend backend);
 
 /// Cost diagnostics of one (or the max over several) elimination runs.
 struct EliminationStats {
@@ -84,26 +77,24 @@ std::size_t MinFillWidth(const std::vector<std::vector<int>>& adjacency);
 ///
 /// `arities[v]` is the domain size of variable id v; every factor scope
 /// must index into it. Fails FailedPrecondition when the evidence has
-/// probability zero and InvalidArgument when the guarded cost measure of
-/// the chosen backend exceeds `limit`.
+/// probability zero and InvalidArgument when the largest intermediate
+/// table of the elimination exceeds `limit` cells.
 Result<Vector> FactorConditionalJoint(
     const std::vector<Factor>& factors, const std::vector<int>& arities,
     const std::vector<int>& targets,
     const std::vector<std::pair<int, int>>& evidence, std::size_t limit,
-    InferenceBackend backend = InferenceBackend::kAuto,
     EliminationStats* stats = nullptr);
 
 /// \brief FactorConditionalJoint writing into a caller-retained vector
-/// (capacity reused). With the elimination backend, every intermediate —
-/// reduced tables, clique products, min-fill scratch — lives in a
-/// per-thread retained arena/pool, so a warm thread answers repeated
-/// queries with ZERO heap allocations. Results are identical to
-/// FactorConditionalJoint.
+/// (capacity reused). Every intermediate — reduced tables, clique
+/// products, min-fill scratch — lives in a per-thread retained arena/pool,
+/// so a warm thread answers repeated queries with ZERO heap allocations.
+/// Results are identical to FactorConditionalJoint.
 Status FactorConditionalJointInto(
     const std::vector<Factor>& factors, const std::vector<int>& arities,
     const std::vector<int>& targets,
     const std::vector<std::pair<int, int>>& evidence, std::size_t limit,
-    InferenceBackend backend, EliminationStats* stats, Vector* out);
+    EliminationStats* stats, Vector* out);
 
 /// Bytes retained by the CALLING thread's elimination workspace arena (the
 /// reuse pool behind the zero-allocation steady state). Diagnostic.

@@ -55,12 +55,6 @@ Status CheckQuiltSet(const std::vector<MarkovQuilt>& quilt_set,
   return Status::OK();
 }
 
-InferenceBackend ResolveBackend(InferenceBackend backend) {
-  return backend == InferenceBackend::kAuto
-             ? InferenceBackend::kVariableElimination
-             : backend;
-}
-
 QuiltSearchMode ResolveSearch(const MqmAnalyzeOptions& options,
                               std::size_t num_nodes) {
   if (options.quilt_search != QuiltSearchMode::kAuto) {
@@ -71,25 +65,13 @@ QuiltSearchMode ResolveSearch(const MqmAnalyzeOptions& options,
              : QuiltSearchMode::kSeparator;
 }
 
-// The guard message of the historical enumeration path, kept verbatim in
-// spirit: it names the knob to raise and the specializations to reach for.
-Status EnumerationGuardError(std::size_t limit) {
-  return Status::InvalidArgument(
-      "joint-assignment space exceeds enumeration_limit (" +
-      std::to_string(limit) +
-      "); raise MqmAnalyzeOptions::enumeration_limit, switch to the "
-      "variable-elimination backend, or use the chain specializations "
-      "(MqmExact / MqmApprox)");
-}
-
 // sigma_i for one node: the min-score quilt over its (validated) search
 // set, against prebuilt per-theta factor systems. Pure in its inputs, so
 // the per-node loop can fan out across threads.
 Result<QuiltScore> ScoreNodeFactors(
     const std::vector<std::vector<Factor>>& theta_factors,
     const std::vector<int>& arities, double epsilon,
-    const std::vector<MarkovQuilt>& quilt_set, std::size_t limit,
-    InferenceBackend backend, EliminationStats* stats) {
+    const std::vector<MarkovQuilt>& quilt_set, EliminationStats* stats) {
   QuiltScore best;
   best.score = kInf;
   // Per-quilt cancellation checkpoint: each influence evaluation can cost
@@ -99,8 +81,8 @@ Result<QuiltScore> ScoreNodeFactors(
   for (const MarkovQuilt& quilt : quilt_set) {
     PF_ASSIGN_OR_RETURN(
         double e,
-        QuiltMaxInfluenceFactors(theta_factors, arities, quilt, limit,
-                                 backend, stats));
+        QuiltMaxInfluenceFactors(theta_factors, arities, quilt,
+                                 kInferenceTableLimit, stats));
     QuiltScore qs;
     qs.quilt = quilt;
     qs.influence = e;
@@ -122,8 +104,7 @@ struct CanonicalScore {
 Result<CanonicalScore> ScoreCanonical(const CanonicalProblem& problem,
                                       double epsilon,
                                       const MqmAnalyzeOptions& options,
-                                      QuiltSearchMode search,
-                                      InferenceBackend backend) {
+                                      QuiltSearchMode search) {
   const MoralGraph graph(problem.adjacency);
   const std::vector<MarkovQuilt> candidates =
       search == QuiltSearchMode::kExhaustive
@@ -133,7 +114,7 @@ Result<CanonicalScore> ScoreCanonical(const CanonicalProblem& problem,
   PF_ASSIGN_OR_RETURN(
       out.best,
       ScoreNodeFactors(problem.factors, problem.arities, epsilon, candidates,
-                       options.enumeration_limit, backend, &out.stats));
+                       &out.stats));
   return out;
 }
 
@@ -180,7 +161,7 @@ double QuiltScoreFromInfluence(std::size_t nearby_count, double epsilon,
 Result<double> QuiltMaxInfluenceFactors(
     const std::vector<std::vector<Factor>>& theta_factors,
     const std::vector<int>& arities, const MarkovQuilt& quilt,
-    std::size_t limit, InferenceBackend backend, EliminationStats* stats) {
+    std::size_t limit, EliminationStats* stats) {
   if (quilt.quilt.empty()) return 0.0;  // Trivial / pure-component quilt.
   const int i = quilt.target;
   const int arity = arities[static_cast<std::size_t>(i)];
@@ -196,7 +177,7 @@ Result<double> QuiltMaxInfluenceFactors(
     for (int a = 0; a < arity; ++a) {
       evidence[0].second = a;
       const Status c = FactorConditionalJointInto(
-          factors, arities, quilt.quilt, evidence, limit, backend, stats,
+          factors, arities, quilt.quilt, evidence, limit, stats,
           &cond[static_cast<std::size_t>(a)]);
       if (!c.ok()) {
         if (c.code() == StatusCode::kFailedPrecondition) {
@@ -226,23 +207,14 @@ Result<double> QuiltMaxInfluenceFactors(
 
 Result<double> QuiltMaxInfluence(const std::vector<BayesianNetwork>& thetas,
                                  const MarkovQuilt& quilt, std::size_t limit,
-                                 InferenceBackend backend,
                                  EliminationStats* stats) {
   PF_RETURN_NOT_OK(CheckSameShape(thetas));
   if (quilt.quilt.empty()) return 0.0;  // Trivial quilt.
-  // The enumeration backend walks the full joint-assignment space; honor
-  // the caller's guard before fanning out, with the historical message.
-  // CheckSameShape guarantees every theta shares node count and arities,
-  // so one check covers all.
-  if (backend == InferenceBackend::kEnumeration &&
-      !thetas.front().NumAssignments(limit).ok()) {
-    return EnumerationGuardError(limit);
-  }
   std::vector<std::vector<Factor>> theta_factors;
   theta_factors.reserve(thetas.size());
   for (const BayesianNetwork& bn : thetas) theta_factors.push_back(bn.Factors());
   return QuiltMaxInfluenceFactors(theta_factors, thetas.front().Arities(),
-                                  quilt, limit, backend, stats);
+                                  quilt, limit, stats);
 }
 
 Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
@@ -258,11 +230,6 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
   for (std::size_t i = 0; i < n; ++i) {
     PF_RETURN_NOT_OK(CheckQuiltSet(quilt_sets[i], i));
   }
-  const InferenceBackend backend = ResolveBackend(options.backend);
-  if (backend == InferenceBackend::kEnumeration &&
-      !thetas.front().NumAssignments(options.enumeration_limit).ok()) {
-    return EnumerationGuardError(options.enumeration_limit);
-  }
   std::vector<std::vector<Factor>> theta_factors;
   theta_factors.reserve(thetas.size());
   for (const BayesianNetwork& bn : thetas) theta_factors.push_back(bn.Factors());
@@ -277,9 +244,8 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanismWithQuilts(
   std::atomic<bool> failed{false};
   ParallelFor(options.num_threads, n, [&](std::size_t i) {
     if (failed.load(std::memory_order_relaxed)) return;
-    scores[i] =
-        ScoreNodeFactors(theta_factors, arities, epsilon, quilt_sets[i],
-                         options.enumeration_limit, backend, &stats[i]);
+    scores[i] = ScoreNodeFactors(theta_factors, arities, epsilon,
+                                 quilt_sets[i], &stats[i]);
     if (!scores[i].ok()) failed.store(true, std::memory_order_relaxed);
   });
   PF_RETURN_NOT_OK(FirstRealError(scores));
@@ -314,12 +280,7 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
   PF_RETURN_NOT_OK(CheckSameShape(thetas));
   const MoralGraph graph = UnionMoralGraph(thetas);
   const std::size_t n = thetas.front().num_nodes();
-  const InferenceBackend backend = ResolveBackend(options.backend);
   const QuiltSearchMode search = ResolveSearch(options, n);
-  if (backend == InferenceBackend::kEnumeration &&
-      !thetas.front().NumAssignments(options.enumeration_limit).ok()) {
-    return EnumerationGuardError(options.enumeration_limit);
-  }
   // One pool serves both parallel phases.
   ThreadPool pool(options.num_threads);
   // Phase 1: every node's canonical rooted form — pure per node given the
@@ -363,7 +324,7 @@ Result<MqmAnalysis> AnalyzeMarkovQuiltMechanism(
   pool.ParallelFor(num_classes, [&](std::size_t c) {
     if (failed.load(std::memory_order_relaxed)) return;
     scored[c] = ScoreCanonical(DecodeCanonicalProblem(forms[representative[c]]),
-                               epsilon, options, search, backend);
+                               epsilon, options, search);
     if (!scored[c].ok()) failed.store(true, std::memory_order_relaxed);
   });
   PF_RETURN_NOT_OK(FirstRealError(scored));

@@ -57,16 +57,15 @@ struct MqmAnalysis {
   /// unique).
   std::size_t scored_nodes = 0;
   /// Largest elimination clique (minus one) observed across all influence
-  /// inferences — the induced width actually paid. 0 under the
-  /// enumeration backend.
+  /// inferences — the induced width actually paid.
   std::size_t induced_width = 0;
   /// Min-fill induced width of the (union) moral graph — the treewidth
   /// upper bound the mechanism-selection policy screens against.
   std::size_t treewidth_bound = 0;
   /// Memory accounting of the analysis. `peak_bytes`: peak bytes of
-  /// simultaneously live factor tables in any single influence inference
-  /// (0 under the enumeration backend). `arena_retained_bytes`: bytes held
-  /// by the per-thread elimination workspace arenas for reuse.
+  /// simultaneously live factor tables in any single influence inference.
+  /// `arena_retained_bytes`: bytes held by the per-thread elimination
+  /// workspace arenas for reuse.
   /// `mallocs`: arena block allocations during the analysis — 0 once the
   /// workspaces are warm. The latter two are read from process-wide arena
   /// counters, so concurrent unrelated analyses can inflate them; the
@@ -100,26 +99,26 @@ enum class QuiltSearchMode {
 /// switch from the exhaustive subset search to the separator search.
 inline constexpr std::size_t kExhaustiveNodeLimit = 16;
 
+/// Guard on every max-influence inference of the Algorithm 2 search: the
+/// largest elimination clique table, in cells. Exceeding it fails the
+/// analysis with InvalidArgument.
+inline constexpr std::size_t kInferenceTableLimit = 1u << 22;
+
 /// Tuning knobs for the Algorithm 2 search.
 struct MqmAnalyzeOptions {
   /// Largest separator size searched when quilts are enumerated
   /// exhaustively. (The sphere search carries its own radius and size
   /// caps in `separator`.)
   std::size_t max_quilt_size = 2;
-  /// Guard on the inference cost measure: the joint-assignment space for
-  /// the enumeration backend (the historical meaning), the largest
-  /// elimination clique table for the variable-elimination backend.
-  /// Exceeding it fails the analysis with InvalidArgument.
-  std::size_t enumeration_limit = 1u << 22;
   /// Worker threads for the per-class sigma_i loop and the canonical-form
   /// construction; 0 = hardware concurrency (the library-wide convention,
   /// see common/parallel.h). Results are bit-identical for every value
   /// (classes are formed sequentially, score independently, and the
   /// sigma_max reduction is sequential).
   std::size_t num_threads = 0;
-  /// Inference backend for max-influence conditionals. kAuto resolves to
-  /// variable elimination (the scalable default); kEnumeration is the
-  /// exponential-in-node-count reference ground truth.
+  /// Not read: max-influence inference is always variable elimination.
+  /// Kept so that callers that copy EngineOptions::network_backend here
+  /// still compile.
   InferenceBackend backend = InferenceBackend::kAuto;
   /// Quilt candidate generation (see QuiltSearchMode).
   QuiltSearchMode quilt_search = QuiltSearchMode::kAuto;
@@ -147,15 +146,16 @@ double QuiltScoreFromInfluence(std::size_t nearby_count, double epsilon,
 /// log P(X_Q = x_Q | X_i = a, theta) / P(X_Q = x_Q | X_i = b, theta)
 /// over values a, b with positive probability, quilt assignments x_Q, and
 /// theta in Theta. Returns +infinity when the supports differ, and
-/// InvalidArgument when the backend's guarded cost measure exceeds `limit`
-/// (the joint-assignment space for the default enumeration backend — the
-/// historical behavior — or the largest elimination clique table for
-/// kVariableElimination / kAuto).
+/// InvalidArgument when the largest elimination clique table exceeds
+/// `limit` cells.
+///
+/// The conditionals come from variable elimination. This function used to
+/// default to full-joint enumeration, guarded by the joint-assignment
+/// space; that oracle is now QuiltMaxInfluenceByEnumeration in the
+/// test-only reference/enumeration.h.
 Result<double> QuiltMaxInfluence(const std::vector<BayesianNetwork>& thetas,
                                  const MarkovQuilt& quilt,
-                                 std::size_t limit = 1u << 22,
-                                 InferenceBackend backend =
-                                     InferenceBackend::kEnumeration,
+                                 std::size_t limit = kInferenceTableLimit,
                                  EliminationStats* stats = nullptr);
 
 /// \brief Max-influence over prebuilt factor systems (one factor list per
@@ -165,8 +165,7 @@ Result<double> QuiltMaxInfluence(const std::vector<BayesianNetwork>& thetas,
 Result<double> QuiltMaxInfluenceFactors(
     const std::vector<std::vector<Factor>>& theta_factors,
     const std::vector<int>& arities, const MarkovQuilt& quilt,
-    std::size_t limit, InferenceBackend backend,
-    EliminationStats* stats = nullptr);
+    std::size_t limit, EliminationStats* stats = nullptr);
 
 /// \brief Runs the Algorithm 2 search with quilts generated per
 /// options.quilt_search (always including the trivial quilt, as Theorem

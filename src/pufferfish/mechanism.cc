@@ -146,7 +146,7 @@ std::uint64_t Gk16Unified::Fingerprint() const {
 
 Result<MechanismPlan> WassersteinUnified::Analyze(double epsilon) const {
   PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  PF_ASSIGN_OR_RETURN(double w, WassersteinSensitivity(pairs_, backend_));
+  PF_ASSIGN_OR_RETURN(double w, WassersteinSensitivity(pairs_));
   MechanismPlan plan = NewPlan(epsilon, w / epsilon);
   plan.wasserstein_w = w;
   return plan;
@@ -155,7 +155,7 @@ Result<MechanismPlan> WassersteinUnified::Analyze(double epsilon) const {
 std::uint64_t WassersteinUnified::Fingerprint() const {
   pf::Fingerprint fp;
   fp.Add(static_cast<int>(kind()))
-      .Add(static_cast<int>(backend_))
+      .Add(0)  // The former backend field; keeps saved plan keys stable.
       .Add(pairs_.size());
   for (const ConditionalOutputPair& pair : pairs_) {
     for (const DiscreteDistribution* d : {&pair.mu_i, &pair.mu_j}) {
@@ -186,15 +186,17 @@ std::uint64_t MqmGeneralUnified::Fingerprint() const {
   // interchangeable. Only the analysis-COST diagnostics (scored_nodes,
   // dedup_ratio) reflect whichever scan filled the cache first — callers
   // comparing scan costs must use separate caches. Everything that can
-  // change the released noise — search mode, separator caps, backend
-  // (ulp-level), guards — is keyed.
+  // change the released noise — search mode, separator caps — is keyed.
+  // kInferenceTableLimit, the 0 and kExhaustiveNodeLimit stand where the
+  // inference-guard, backend and node-limit options were hashed at their
+  // defaults, so saved plan keys stay stable.
   pf::Fingerprint fp;
   fp.Add(static_cast<int>(kind()))
       .Add(options_.max_quilt_size)  // The quilt-width cap changes the plan.
-      .Add(options_.enumeration_limit)
-      .Add(static_cast<int>(options_.backend))
+      .Add(kInferenceTableLimit)
+      .Add(0)
       .Add(static_cast<int>(options_.quilt_search))
-      .Add(kExhaustiveNodeLimit)  // Keeps saved plan keys stable.
+      .Add(kExhaustiveNodeLimit)
       .Add(options_.separator.max_radius)
       .Add(options_.separator.max_quilt_size)
       .Add(thetas_.size());

@@ -241,17 +241,14 @@ class Gk16Unified : public Mechanism {
 /// Algorithm 1 over explicitly enumerated conditional output pairs.
 class WassersteinUnified : public Mechanism {
  public:
-  explicit WassersteinUnified(
-      std::vector<ConditionalOutputPair> pairs,
-      WassersteinBackend backend = WassersteinBackend::kQuantile)
-      : pairs_(std::move(pairs)), backend_(backend) {}
+  explicit WassersteinUnified(std::vector<ConditionalOutputPair> pairs)
+      : pairs_(std::move(pairs)) {}
   MechanismKind kind() const override { return MechanismKind::kWasserstein; }
   Result<MechanismPlan> Analyze(double epsilon) const override;
   std::uint64_t Fingerprint() const override;
 
  private:
   std::vector<ConditionalOutputPair> pairs_;
-  WassersteinBackend backend_;
 };
 
 /// Algorithm 2 on a class of general Bayesian networks.

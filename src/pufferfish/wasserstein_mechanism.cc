@@ -6,14 +6,13 @@
 namespace pf {
 
 Result<double> WassersteinSensitivity(
-    const std::vector<ConditionalOutputPair>& pairs,
-    WassersteinBackend backend) {
+    const std::vector<ConditionalOutputPair>& pairs) {
   if (pairs.empty()) {
     return Status::InvalidArgument("no secret pairs supplied");
   }
   double w = 0.0;
   for (const ConditionalOutputPair& pair : pairs) {
-    PF_ASSIGN_OR_RETURN(double wij, WassersteinInf(pair.mu_i, pair.mu_j, backend));
+    PF_ASSIGN_OR_RETURN(double wij, WassersteinInf(pair.mu_i, pair.mu_j));
     w = std::max(w, wij);
   }
   return w;

@@ -39,8 +39,7 @@ struct ConditionalOutputPair {
 /// WassersteinUnified (pufferfish/mechanism.h): its plan's sigma is
 /// W / epsilon, and ReleaseVector adds the noise.
 Result<double> WassersteinSensitivity(
-    const std::vector<ConditionalOutputPair>& pairs,
-    WassersteinBackend backend = WassersteinBackend::kQuantile);
+    const std::vector<ConditionalOutputPair>& pairs);
 
 /// \brief Enumerates the Section 4.1 instantiation over a Bayesian-network
 /// class: for every variable i, every value pair (a, b) with positive

@@ -13,6 +13,7 @@
 #include "data/topologies.h"
 #include "graphical/bayesian_network.h"
 #include "graphical/moral_graph.h"
+#include "reference/enumeration.h"
 
 namespace pf {
 namespace {
@@ -250,13 +251,18 @@ BayesianNetwork Collider(Rng* rng) {
   return bn;
 }
 
+Result<Vector> Enumerated(const BayesianNetwork& bn,
+                          const std::vector<int>& targets,
+                          const std::vector<std::pair<int, int>>& evidence) {
+  return EnumerationConditionalJoint(bn.Factors(), bn.Arities(), targets,
+                                     evidence, 1u << 24);
+}
+
 void ExpectBackendsAgree(const BayesianNetwork& bn,
                          const std::vector<int>& targets,
                          const std::vector<std::pair<int, int>>& evidence) {
-  const Result<Vector> elim = bn.ConditionalJoint(
-      targets, evidence, 1u << 24, InferenceBackend::kVariableElimination);
-  const Result<Vector> enu = bn.ConditionalJoint(
-      targets, evidence, 1u << 24, InferenceBackend::kEnumeration);
+  const Result<Vector> elim = bn.ConditionalJoint(targets, evidence, 1u << 24);
+  const Result<Vector> enu = Enumerated(bn, targets, evidence);
   ASSERT_EQ(elim.ok(), enu.ok());
   if (!elim.ok()) {
     EXPECT_EQ(elim.status().code(), enu.status().code());
@@ -307,9 +313,9 @@ TEST(EliminationPropertyTest, ZeroProbabilityEvidenceFailsOnBothBackends) {
   ASSERT_TRUE(bn.AddNode("A", 2, {}, Matrix{{1.0, 0.0}}).ok());
   ASSERT_TRUE(bn.AddNode("B", 2, {0},
                          Matrix{{1.0, 0.0}, {0.0, 1.0}}).ok());
-  for (const InferenceBackend backend :
-       {InferenceBackend::kVariableElimination, InferenceBackend::kEnumeration}) {
-    const Result<Vector> r = bn.ConditionalJoint({0}, {{1, 1}}, 1u << 24, backend);
+  for (const Result<Vector>& r :
+       {bn.ConditionalJoint({0}, {{1, 1}}, 1u << 24),
+        Enumerated(bn, {0}, {{1, 1}})}) {
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   }
@@ -333,11 +339,10 @@ TEST(EliminationPropertyTest, DuplicateEvidenceConventionsMatch) {
   // matches, so BOTH backends must report zero-probability evidence (the
   // elimination path must not silently answer as if only the first pair
   // existed).
-  for (const InferenceBackend backend :
-       {InferenceBackend::kVariableElimination, InferenceBackend::kEnumeration}) {
-    const Result<Vector> r =
-        bn.ConditionalJoint({3}, {{1, 0}, {1, 1}}, 1u << 24, backend);
-    ASSERT_FALSE(r.ok()) << InferenceBackendName(backend);
+  for (const Result<Vector>& r :
+       {bn.ConditionalJoint({3}, {{1, 0}, {1, 1}}, 1u << 24),
+        Enumerated(bn, {3}, {{1, 0}, {1, 1}})}) {
+    ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
   }
 }
@@ -353,13 +358,10 @@ TEST(EliminationTest, LimitGuardsLargestCliqueTable) {
   }
   ASSERT_TRUE(bn.AddNode("C", 2, {0, 1, 2, 3, 4},
                          RandomCpt(32, 2, &rng)).ok());
-  const Result<Vector> blocked = bn.ConditionalJoint(
-      {5}, {}, /*limit=*/16, InferenceBackend::kVariableElimination);
+  const Result<Vector> blocked = bn.ConditionalJoint({5}, {}, /*limit=*/16);
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_TRUE(bn.ConditionalJoint({5}, {}, /*limit=*/64,
-                                  InferenceBackend::kVariableElimination)
-                  .ok());
+  EXPECT_TRUE(bn.ConditionalJoint({5}, {}, /*limit=*/64).ok());
 }
 
 TEST(EliminationTest, StatsReportWidthAndPeakBytes) {
@@ -368,8 +370,7 @@ TEST(EliminationTest, StatsReportWidthAndPeakBytes) {
   EliminationStats stats;
   const Result<Vector> r =
       FactorConditionalJoint(bn.Factors(), bn.Arities(), {30}, {{0, 1}},
-                             1u << 24, InferenceBackend::kVariableElimination,
-                             &stats);
+                             1u << 24, &stats);
   ASSERT_TRUE(r.ok());
   EXPECT_GE(stats.induced_width, 1u);
   EXPECT_LE(stats.induced_width, 2u);  // A tree stays near width 1.
@@ -388,9 +389,7 @@ TEST(EliminationTest, ScalesFarBeyondTheEnumerationGuard) {
   // any sane limit, elimination answers in microseconds.
   const BayesianNetwork bn =
       TreeNetwork(120, 3, {0.5, 0.5}, BinaryNoisyCopyCpt(0.1)).ValueOrDie();
-  const Result<Vector> refused =
-      bn.ConditionalJoint({119}, {{0, 0}}, 1u << 24,
-                          InferenceBackend::kEnumeration);
+  const Result<Vector> refused = Enumerated(bn, {119}, {{0, 0}});
   ASSERT_FALSE(refused.ok());
   const Vector marginal =
       bn.ConditionalJoint({119}, {{0, 0}}, 1u << 24).ValueOrDie();

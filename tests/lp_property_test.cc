@@ -9,8 +9,8 @@
 #include <limits>
 
 #include "common/random.h"
-#include "dist/maxflow.h"
-#include "dist/simplex.h"
+#include "reference/maxflow.h"
+#include "reference/simplex.h"
 
 namespace pf {
 namespace {

@@ -6,6 +6,7 @@
 
 #include "pufferfish/mechanism.h"
 #include "pufferfish/mqm_exact.h"
+#include "reference/enumeration.h"
 
 namespace pf {
 namespace {
@@ -23,13 +24,17 @@ TEST(MarkovQuiltMechanismTest, CompositionExampleInfluences) {
   // Quilt {X1, X3} (0-indexed {0, 2}) for the middle node: influence log 36.
   const MarkovQuilt q = QuiltFromSeparator(g, 1, {0, 2});
   EXPECT_NEAR(QuiltMaxInfluence({bn}, q).ValueOrDie(), std::log(36.0), 1e-9);
+  EXPECT_NEAR(QuiltMaxInfluenceByEnumeration({bn}, q).ValueOrDie(),
+              std::log(36.0), 1e-9);
   // One-sided {X3} (0-indexed {2}): influence log 6.
   const MarkovQuilt right = QuiltFromSeparator(g, 1, {2});
   EXPECT_NEAR(QuiltMaxInfluence({bn}, right).ValueOrDie(), std::log(6.0), 1e-9);
+  EXPECT_NEAR(QuiltMaxInfluenceByEnumeration({bn}, right).ValueOrDie(),
+              std::log(6.0), 1e-9);
 }
 
-// Cross-validation: the general enumeration-based influence equals the
-// Eq. (5) dynamic-programming influence on chains.
+// Cross-validation: the general influence, by elimination and by
+// enumeration, equals the Eq. (5) dynamic-programming influence on chains.
 TEST(MarkovQuiltMechanismTest, GeneralMatchesChainSpecialization) {
   const Vector q = {0.6, 0.4};
   const Matrix p{{0.7, 0.3}, {0.2, 0.8}};
@@ -50,9 +55,13 @@ TEST(MarkovQuiltMechanismTest, GeneralMatchesChainSpecialization) {
         ChainQuilt(n, c.target, c.a, c.b).ValueOrDie();
     EXPECT_EQ(general.NearbyCount(), special.NearbyCount());
     const double e_general = QuiltMaxInfluence({bn}, general).ValueOrDie();
+    const double e_enumerated =
+        QuiltMaxInfluenceByEnumeration({bn}, general).ValueOrDie();
     const double e_special =
         ChainQuiltInfluenceExact(chain, n, special).ValueOrDie();
     EXPECT_NEAR(e_general, e_special, 1e-9)
+        << "target=" << c.target << " a=" << c.a << " b=" << c.b;
+    EXPECT_NEAR(e_enumerated, e_special, 1e-9)
         << "target=" << c.target << " a=" << c.a << " b=" << c.b;
   }
 }
@@ -141,29 +150,26 @@ TEST(MarkovQuiltMechanismTest, EnumerationLimitEnforced) {
       Chain({0.5, 0.5}, Matrix{{0.9, 0.1}, {0.4, 0.6}}, 12);
   const MoralGraph g(bn);
   const MarkovQuilt quilt = QuiltFromSeparator(g, 5, {3, 7});
-  const Result<double> blocked = QuiltMaxInfluence({bn}, quilt, 1000);
+  const Result<double> blocked =
+      QuiltMaxInfluenceByEnumeration({bn}, quilt, 1000);
   ASSERT_FALSE(blocked.ok());
   EXPECT_EQ(blocked.status().code(), StatusCode::kInvalidArgument);
   // A limit that admits the space computes normally.
-  EXPECT_TRUE(QuiltMaxInfluence({bn}, quilt, 4096).ok());
+  EXPECT_TRUE(QuiltMaxInfluenceByEnumeration({bn}, quilt, 4096).ok());
   // The trivial quilt never enumerates, so it passes under any limit.
   EXPECT_DOUBLE_EQ(
-      QuiltMaxInfluence({bn}, TrivialQuilt(5, 12), 1).ValueOrDie(), 0.0);
-  MqmAnalyzeOptions options;
-  options.enumeration_limit = 1000;
-  options.backend = InferenceBackend::kEnumeration;
+      QuiltMaxInfluenceByEnumeration({bn}, TrivialQuilt(5, 12), 1).ValueOrDie(),
+      0.0);
   const Result<MqmAnalysis> analysis =
-      AnalyzeMarkovQuiltMechanism({bn}, 1.0, options);
+      AnalyzeByEnumeration({bn}, 1.0, MqmAnalyzeOptions{}, 1000);
   ASSERT_FALSE(analysis.ok());
   EXPECT_EQ(analysis.status().code(), StatusCode::kInvalidArgument);
-  options.enumeration_limit = 1u << 14;
-  EXPECT_TRUE(AnalyzeMarkovQuiltMechanism({bn}, 1.0, options).ok());
-  // The variable-elimination default is guarded by clique-table size, not
-  // the joint-assignment space: the same network passes under the same
-  // tiny limit (chain cliques are 4 cells).
-  options.enumeration_limit = 1000;
-  options.backend = InferenceBackend::kAuto;
-  EXPECT_TRUE(AnalyzeMarkovQuiltMechanism({bn}, 1.0, options).ok());
+  EXPECT_TRUE(
+      AnalyzeByEnumeration({bn}, 1.0, MqmAnalyzeOptions{}, 1u << 14).ok());
+  // Variable elimination is guarded by clique-table size, not the
+  // joint-assignment space: the same quilt passes under the same tiny
+  // limit (chain cliques are 4 cells).
+  EXPECT_TRUE(QuiltMaxInfluence({bn}, quilt, 1000).ok());
 }
 
 TEST(MarkovQuiltMechanismTest, RejectsMismatchedThetas) {

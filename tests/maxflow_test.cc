@@ -1,4 +1,4 @@
-#include "dist/maxflow.h"
+#include "reference/maxflow.h"
 
 #include <gtest/gtest.h>
 

@@ -11,6 +11,7 @@
 #include "data/topologies.h"
 #include "pufferfish/markov_quilt_mechanism.h"
 #include "pufferfish/node_classes.h"
+#include "reference/enumeration.h"
 
 namespace pf {
 namespace {
@@ -102,13 +103,10 @@ TEST(MqmGeneralBackendTest, EliminationMatchesEnumerationBitwise) {
   // Dyadic CPTs: both backends do exact arithmetic, so sigma_max agrees to
   // the last bit on every network small enough for enumeration.
   for (const BayesianNetwork& bn : TestTopologies()) {
-    MqmAnalyzeOptions options;
-    options.backend = InferenceBackend::kVariableElimination;
+    const MqmAnalyzeOptions options;
     const MqmAnalysis elim =
         AnalyzeMarkovQuiltMechanism({bn}, 1.0, options).ValueOrDie();
-    options.backend = InferenceBackend::kEnumeration;
-    const MqmAnalysis enu =
-        AnalyzeMarkovQuiltMechanism({bn}, 1.0, options).ValueOrDie();
+    const MqmAnalysis enu = AnalyzeByEnumeration({bn}, 1.0, options).ValueOrDie();
     EXPECT_EQ(DoubleBits(elim.sigma_max), DoubleBits(enu.sigma_max));
     EXPECT_EQ(elim.worst_node, enu.worst_node);
   }
@@ -118,10 +116,8 @@ TEST(MqmGeneralScaleTest, HundredNodeTreeAnalyzesUnderTheOldGuard) {
   // 100 binary nodes: the enumeration reference refuses under the default
   // guard (2^100 joint assignments); the structured path analyzes it.
   const BayesianNetwork tree = TreeNetwork(100, 2, kRoot, kEdge).ValueOrDie();
-  MqmAnalyzeOptions options;
-  options.backend = InferenceBackend::kEnumeration;
   const Result<MqmAnalysis> refused =
-      AnalyzeMarkovQuiltMechanism({tree}, 1.0, options);
+      AnalyzeByEnumeration({tree}, 1.0, MqmAnalyzeOptions{});
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 

@@ -1,4 +1,4 @@
-#include "dist/simplex.h"
+#include "reference/simplex.h"
 
 #include <gtest/gtest.h>
 

@@ -1,6 +1,6 @@
 // Property-based tests of the infinity-Wasserstein implementation: metric
 // axioms, behaviour under transformations, and consistency of the
-// feasibility primitive across backends on randomized instances.
+// feasibility primitive across solvers on randomized instances.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "dist/wasserstein.h"
+#include "reference/wasserstein_reference.h"
 
 namespace pf {
 namespace {
@@ -116,14 +117,14 @@ TEST_P(FeasibilityConsistency, MonotoneInDistanceAndTightAtWinf) {
   const auto mu = RandomOnGrid(n, &rng);
   const auto nu = RandomOnGrid(n, &rng);
   const double w = WassersteinInf(mu, nu).ValueOrDie();
-  for (auto backend :
-       {WassersteinBackend::kQuantile, WassersteinBackend::kMaxFlow,
-        WassersteinBackend::kLp}) {
-    EXPECT_TRUE(CouplingFeasibleWithin(mu, nu, w, backend).ValueOrDie());
-    EXPECT_TRUE(CouplingFeasibleWithin(mu, nu, w + 0.5, backend).ValueOrDie());
+  for (auto solver :
+       {WinfSolver::kQuantile, WinfSolver::kMaxFlow, WinfSolver::kLp}) {
+    EXPECT_TRUE(CouplingFeasibleWithinBySolver(mu, nu, w, solver).ValueOrDie());
+    EXPECT_TRUE(
+        CouplingFeasibleWithinBySolver(mu, nu, w + 0.5, solver).ValueOrDie());
     if (w > 0.5) {
       EXPECT_FALSE(
-          CouplingFeasibleWithin(mu, nu, w - 0.5, backend).ValueOrDie());
+          CouplingFeasibleWithinBySolver(mu, nu, w - 0.5, solver).ValueOrDie());
     }
   }
 }
@@ -135,10 +136,10 @@ TEST(WassersteinStressTest, LargeSupportQuantileVsMaxflow) {
   Rng rng(4242);
   const auto mu = RandomOnGrid(80, &rng);
   const auto nu = RandomOnGrid(80, &rng);
-  const double q = WassersteinInf(mu, nu, WassersteinBackend::kQuantile)
+  const double q = WassersteinInfBySolver(mu, nu, WinfSolver::kQuantile)
                        .ValueOrDie();
   const double f =
-      WassersteinInf(mu, nu, WassersteinBackend::kMaxFlow).ValueOrDie();
+      WassersteinInfBySolver(mu, nu, WinfSolver::kMaxFlow).ValueOrDie();
   EXPECT_NEAR(q, f, 1e-7);
 }
 

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "common/random.h"
+#include "reference/wasserstein_reference.h"
 
 namespace pf {
 namespace {
+
+constexpr WinfSolver kSolvers[] = {WinfSolver::kQuantile, WinfSolver::kMaxFlow,
+                                   WinfSolver::kLp};
 
 DiscreteDistribution Masses(const std::vector<double>& m) {
   return DiscreteDistribution::FromMasses(m).ValueOrDie();
@@ -15,18 +20,18 @@ DiscreteDistribution Masses(const std::vector<double>& m) {
 
 TEST(WassersteinTest, IdenticalDistributionsZero) {
   const auto d = Masses({0.3, 0.7});
-  for (auto backend : {WassersteinBackend::kQuantile, WassersteinBackend::kMaxFlow,
-                       WassersteinBackend::kLp}) {
-    EXPECT_NEAR(WassersteinInf(d, d, backend).ValueOrDie(), 0.0, 1e-12);
+  for (auto solver : kSolvers) {
+    EXPECT_NEAR(WassersteinInfBySolver(d, d, solver).ValueOrDie(), 0.0,
+                1e-12);
   }
 }
 
 TEST(WassersteinTest, PointMassShift) {
   const auto a = DiscreteDistribution::PointMass(1.0);
   const auto b = DiscreteDistribution::PointMass(4.5);
-  for (auto backend : {WassersteinBackend::kQuantile, WassersteinBackend::kMaxFlow,
-                       WassersteinBackend::kLp}) {
-    EXPECT_NEAR(WassersteinInf(a, b, backend).ValueOrDie(), 3.5, 1e-12);
+  for (auto solver : kSolvers) {
+    EXPECT_NEAR(WassersteinInfBySolver(a, b, solver).ValueOrDie(), 3.5,
+                1e-12);
   }
 }
 
@@ -35,10 +40,10 @@ TEST(WassersteinTest, PointMassShift) {
 TEST(WassersteinTest, PaperFluExampleIsTwo) {
   const auto mu0 = Masses({0.2, 0.225, 0.5, 0.075, 0.0});
   const auto mu1 = Masses({0.0, 0.075, 0.5, 0.225, 0.2});
-  for (auto backend : {WassersteinBackend::kQuantile, WassersteinBackend::kMaxFlow,
-                       WassersteinBackend::kLp}) {
-    EXPECT_NEAR(WassersteinInf(mu0, mu1, backend).ValueOrDie(), 2.0, 1e-9)
-        << "backend " << static_cast<int>(backend);
+  for (auto solver : kSolvers) {
+    EXPECT_NEAR(WassersteinInfBySolver(mu0, mu1, solver).ValueOrDie(), 2.0,
+                1e-9)
+        << "solver " << static_cast<int>(solver);
   }
 }
 
@@ -77,11 +82,27 @@ TEST(WassersteinTest, EmptyRejected) {
 TEST(WassersteinTest, CouplingFeasibilityThreshold) {
   const auto mu = Masses({1.0, 0.0});
   const auto nu = Masses({0.0, 1.0});
-  for (auto backend : {WassersteinBackend::kQuantile, WassersteinBackend::kMaxFlow,
-                       WassersteinBackend::kLp}) {
-    EXPECT_FALSE(CouplingFeasibleWithin(mu, nu, 0.5, backend).ValueOrDie());
-    EXPECT_TRUE(CouplingFeasibleWithin(mu, nu, 1.0, backend).ValueOrDie());
+  for (auto solver : kSolvers) {
+    EXPECT_FALSE(
+        CouplingFeasibleWithinBySolver(mu, nu, 0.5, solver).ValueOrDie());
+    EXPECT_TRUE(
+        CouplingFeasibleWithinBySolver(mu, nu, 1.0, solver).ValueOrDie());
   }
+}
+
+TEST(WassersteinTest, CouplingThresholdMustBeANonNegativeNumber) {
+  const auto mu = Masses({1.0, 0.0});
+  const auto nu = Masses({0.0, 1.0});
+  for (const double threshold :
+       {-1.0, std::nan(""), -std::numeric_limits<double>::infinity()}) {
+    const Result<bool> r = CouplingFeasibleWithin(mu, nu, threshold);
+    ASSERT_FALSE(r.ok()) << threshold;
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << threshold;
+  }
+  EXPECT_TRUE(CouplingFeasibleWithin(mu, nu, 0.0).ok());
+  EXPECT_TRUE(
+      CouplingFeasibleWithin(mu, nu, std::numeric_limits<double>::infinity())
+          .ValueOrDie());
 }
 
 TEST(WassersteinTest, Wasserstein1CdfArea) {
@@ -102,7 +123,7 @@ TEST(WassersteinTest, WinfAtLeastW1) {
   }
 }
 
-// Property sweep: the three backends agree on random distribution pairs over
+// Property sweep: the three solvers agree on random distribution pairs over
 // integer supports (random sizes), validating the hand-written LP/flow
 // solvers against the closed-form quantile coupling.
 class WassersteinBackendAgreement : public ::testing::TestWithParam<int> {};
@@ -115,10 +136,11 @@ TEST_P(WassersteinBackendAgreement, BackendsAgreeOnRandomPairs) {
   const auto mu = DiscreteDistribution::FromMasses(a).ValueOrDie();
   const auto nu = DiscreteDistribution::FromMasses(b).ValueOrDie();
   const double quantile =
-      WassersteinInf(mu, nu, WassersteinBackend::kQuantile).ValueOrDie();
+      WassersteinInfBySolver(mu, nu, WinfSolver::kQuantile).ValueOrDie();
   const double flow =
-      WassersteinInf(mu, nu, WassersteinBackend::kMaxFlow).ValueOrDie();
-  const double lp = WassersteinInf(mu, nu, WassersteinBackend::kLp).ValueOrDie();
+      WassersteinInfBySolver(mu, nu, WinfSolver::kMaxFlow).ValueOrDie();
+  const double lp =
+      WassersteinInfBySolver(mu, nu, WinfSolver::kLp).ValueOrDie();
   EXPECT_NEAR(quantile, flow, 1e-7);
   EXPECT_NEAR(quantile, lp, 1e-7);
 }

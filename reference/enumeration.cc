@@ -16,87 +16,64 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// The guard of pf_core's elimination tables, applied to the joint space.
-Result<std::size_t> CheckedCells(const std::vector<int>& arities,
-                                 std::size_t limit, const char* what) {
-  std::size_t cells = 1;
-  for (int a : arities) {
-    if (cells > limit / static_cast<std::size_t>(a)) {
-      return Status::InvalidArgument(
-          std::string(what) + " exceeds the inference limit (" +
-          std::to_string(limit) + ")");
+// pf_core's refusals for a distribution class: empty, or networks that
+// differ in node count or arity.
+Status CheckSameShape(const std::vector<BayesianNetwork>& thetas) {
+  if (thetas.empty()) return Status::InvalidArgument("empty distribution class");
+  const std::vector<int> arities = thetas.front().Arities();
+  for (const BayesianNetwork& bn : thetas) {
+    if (bn.Arities() != arities) {
+      return Status::InvalidArgument("networks in Theta differ in shape");
     }
-    cells *= static_cast<std::size_t>(a);
   }
-  return cells;
+  return Status::OK();
+}
+
+// The analysis-level guard: InvalidArgument where ForEachAssignment would
+// answer OutOfRange.
+Status CheckJointSpace(const BayesianNetwork& bn, std::size_t limit) {
+  if (bn.NumAssignments(limit).ok()) return Status::OK();
+  return Status::InvalidArgument(
+      "joint-assignment space exceeds the enumeration limit (" +
+      std::to_string(limit) + ")");
 }
 
 }  // namespace
 
-// Incrementally maintained per-factor indices; `limit` guards the
-// assignment-space size.
 Result<Vector> EnumerationConditionalJoint(
-    const std::vector<Factor>& factors, const std::vector<int>& arities,
-    const std::vector<int>& targets,
+    const BayesianNetwork& bn, const std::vector<int>& targets,
     const std::vector<std::pair<int, int>>& evidence, std::size_t limit) {
-  PF_ASSIGN_OR_RETURN(const std::size_t cells,
-                      CheckedCells(arities, limit, "joint-assignment space"));
-  const std::size_t n = arities.size();
-  // Per-factor stride of each variable digit (0 when absent from scope).
-  std::vector<std::vector<std::size_t>> stride(
-      factors.size(), std::vector<std::size_t>(n, 0));
-  for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-    const Factor& f = factors[fi];
-    for (std::size_t p = 0; p < f.scope.size(); ++p) {
-      std::size_t s = 1;
-      for (std::size_t i = p + 1; i < f.scope.size(); ++i) {
-        s *= static_cast<std::size_t>(f.arity[i]);
-      }
-      stride[fi][static_cast<std::size_t>(f.scope[p])] = s;
-    }
-  }
-  std::size_t target_cells = 1;
+  std::size_t cells = 1;
   for (int t : targets) {
-    target_cells *= static_cast<std::size_t>(arities[static_cast<std::size_t>(t)]);
+    if (t < 0 || static_cast<std::size_t>(t) >= bn.num_nodes()) {
+      return Status::InvalidArgument("target index out of range");
+    }
+    cells *= static_cast<std::size_t>(bn.node(static_cast<std::size_t>(t)).arity);
   }
-  Vector mass(target_cells, 0.0);
+  for (const auto& [var, val] : evidence) {
+    if (var < 0 || static_cast<std::size_t>(var) >= bn.num_nodes() || val < 0 ||
+        val >= bn.node(static_cast<std::size_t>(var)).arity) {
+      return Status::InvalidArgument("evidence out of range");
+    }
+  }
+  Vector mass(cells, 0.0);
   double evidence_mass = 0.0;
-  std::vector<int> digits(n, 0);
-  std::vector<std::size_t> idx(factors.size(), 0);
-  for (std::size_t cell = 0; cell < cells; ++cell) {
-    bool matches = true;
-    for (const auto& [var, val] : evidence) {
-      if (digits[static_cast<std::size_t>(var)] != val) {
-        matches = false;
-        break;
-      }
-    }
-    if (matches) {
-      double p = 1.0;
-      for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-        p *= factors[fi].values[idx[fi]];
-      }
-      if (p > 0.0) {
-        evidence_mass += p;
-        std::size_t ti = 0;
-        for (int t : targets) {
-          ti = ti * static_cast<std::size_t>(arities[static_cast<std::size_t>(t)]) +
-               static_cast<std::size_t>(digits[static_cast<std::size_t>(t)]);
+  PF_RETURN_NOT_OK(bn.ForEachAssignment(
+      [&](const Assignment& a, double p) {
+        for (const auto& [var, val] : evidence) {
+          if (a[static_cast<std::size_t>(var)] != val) return;
         }
-        mass[ti] += p;
-      }
-    }
-    for (std::size_t d = n; d-- > 0;) {
-      ++digits[d];
-      for (std::size_t fi = 0; fi < factors.size(); ++fi) idx[fi] += stride[fi][d];
-      if (digits[d] < arities[d]) break;
-      digits[d] = 0;
-      for (std::size_t fi = 0; fi < factors.size(); ++fi) {
-        idx[fi] -= stride[fi][d] * static_cast<std::size_t>(arities[d]);
-      }
-    }
-  }
-  if (!(evidence_mass > 0.0)) {
+        evidence_mass += p;
+        std::size_t idx = 0;
+        for (int t : targets) {
+          idx = idx * static_cast<std::size_t>(
+                          bn.node(static_cast<std::size_t>(t)).arity) +
+                static_cast<std::size_t>(a[static_cast<std::size_t>(t)]);
+        }
+        mass[idx] += p;
+      },
+      limit));
+  if (evidence_mass <= 0.0) {
     return Status::FailedPrecondition("evidence has probability zero");
   }
   for (double& v : mass) v /= evidence_mass;
@@ -106,17 +83,16 @@ Result<Vector> EnumerationConditionalJoint(
 Result<double> QuiltMaxInfluenceByEnumeration(
     const std::vector<BayesianNetwork>& thetas, const MarkovQuilt& quilt,
     std::size_t limit) {
+  PF_RETURN_NOT_OK(CheckSameShape(thetas));
   if (quilt.quilt.empty()) return 0.0;  // Trivial / pure-component quilt.
+  PF_RETURN_NOT_OK(CheckJointSpace(thetas.front(), limit));
   const int i = quilt.target;
   double influence = 0.0;
   for (const BayesianNetwork& bn : thetas) {
-    const std::vector<Factor> factors = bn.Factors();
-    const std::vector<int> arities = bn.Arities();
     // cond[a] = P(X_Q | X_i = a); FailedPrecondition marks P(X_i = a) = 0.
     std::vector<Result<Vector>> cond;
-    for (int a = 0; a < arities[static_cast<std::size_t>(i)]; ++a) {
-      cond.push_back(EnumerationConditionalJoint(factors, arities, quilt.quilt,
-                                                 {{i, a}}, limit));
+    for (int a = 0; a < bn.node(static_cast<std::size_t>(i)).arity; ++a) {
+      cond.push_back(EnumerationConditionalJoint(bn, quilt.quilt, {{i, a}}, limit));
       if (!cond.back().ok() &&
           cond.back().status().code() != StatusCode::kFailedPrecondition) {
         return cond.back().status();
@@ -141,10 +117,8 @@ Result<MqmAnalysis> AnalyzeByEnumeration(
     const std::vector<BayesianNetwork>& thetas, double epsilon,
     const MqmAnalyzeOptions& options, std::size_t limit) {
   PF_RETURN_NOT_OK(ValidatePrivacyParams({epsilon}));
-  if (thetas.empty()) return Status::InvalidArgument("empty distribution class");
-  PF_RETURN_NOT_OK(
-      CheckedCells(thetas.front().Arities(), limit, "joint-assignment space")
-          .status());
+  PF_RETURN_NOT_OK(CheckSameShape(thetas));
+  PF_RETURN_NOT_OK(CheckJointSpace(thetas.front(), limit));
   const MoralGraph graph = UnionMoralGraph(thetas);
   const std::size_t n = thetas.front().num_nodes();
   QuiltSearchMode search = options.quilt_search;

@@ -1,7 +1,9 @@
 // Full-joint enumeration oracles for pf_core's variable-elimination
 // inference and the Algorithm 2 search built on it. Each walks the whole
-// joint-assignment space, so its cost is exponential in node count (about
-// 20 binary nodes is the practical cap). Indices are not validated.
+// joint-assignment space with BayesianNetwork::ForEachAssignment, which
+// reads every CPT directly and never the factor tables that elimination
+// runs on. The cost is exponential in node count (about 20 binary nodes is
+// the practical cap).
 #ifndef PUFFERFISH_REFERENCE_ENUMERATION_H_
 #define PUFFERFISH_REFERENCE_ENUMERATION_H_
 
@@ -11,22 +13,21 @@
 
 #include "common/status.h"
 #include "graphical/bayesian_network.h"
-#include "graphical/factor.h"
 #include "pufferfish/markov_quilt_mechanism.h"
 
 namespace pf {
 
-/// \brief FactorConditionalJoint by walking the full joint-assignment
-/// space. Fails InvalidArgument when that space exceeds `limit` and
-/// FailedPrecondition when the evidence has probability zero.
+/// \brief BayesianNetwork::ConditionalJoint by walking the full
+/// joint-assignment space. Fails InvalidArgument when an index is out of
+/// range, OutOfRange when that space exceeds `limit` and FailedPrecondition
+/// when the evidence has probability zero.
 Result<Vector> EnumerationConditionalJoint(
-    const std::vector<Factor>& factors, const std::vector<int>& arities,
-    const std::vector<int>& targets,
+    const BayesianNetwork& bn, const std::vector<int>& targets,
     const std::vector<std::pair<int, int>>& evidence, std::size_t limit);
 
 /// \brief QuiltMaxInfluence with every conditional enumerated. Fails
-/// InvalidArgument when a non-trivial quilt meets a joint-assignment space
-/// larger than `limit`.
+/// InvalidArgument when the networks in `thetas` differ in shape or a
+/// non-trivial quilt meets a joint-assignment space larger than `limit`.
 Result<double> QuiltMaxInfluenceByEnumeration(
     const std::vector<BayesianNetwork>& thetas, const MarkovQuilt& quilt,
     std::size_t limit = kInferenceTableLimit);
@@ -34,7 +35,8 @@ Result<double> QuiltMaxInfluenceByEnumeration(
 /// \brief AnalyzeMarkovQuiltMechanism with enumerated influences, scoring
 /// every node (no dedup) over the union-moral-graph candidates that
 /// options.quilt_search selects, on options.num_threads threads. Fails
-/// InvalidArgument when the joint-assignment space exceeds `limit`.
+/// InvalidArgument when the networks in `thetas` differ in shape or the
+/// joint-assignment space exceeds `limit`.
 Result<MqmAnalysis> AnalyzeByEnumeration(
     const std::vector<BayesianNetwork>& thetas, double epsilon,
     const MqmAnalyzeOptions& options,

@@ -254,8 +254,7 @@ BayesianNetwork Collider(Rng* rng) {
 Result<Vector> Enumerated(const BayesianNetwork& bn,
                           const std::vector<int>& targets,
                           const std::vector<std::pair<int, int>>& evidence) {
-  return EnumerationConditionalJoint(bn.Factors(), bn.Arities(), targets,
-                                     evidence, 1u << 24);
+  return EnumerationConditionalJoint(bn, targets, evidence, 1u << 24);
 }
 
 void ExpectBackendsAgree(const BayesianNetwork& bn,

@@ -177,6 +177,15 @@ TEST(MarkovQuiltMechanismTest, RejectsMismatchedThetas) {
   const BayesianNetwork b = Chain({0.5, 0.5}, Matrix{{0.9, 0.1}, {0.4, 0.6}}, 4);
   EXPECT_FALSE(AnalyzeMarkovQuiltMechanism({a, b}, 1.0, {}).ok());
   EXPECT_FALSE(AnalyzeMarkovQuiltMechanism({}, 1.0, {}).ok());
+  // The enumeration oracles refuse the same classes instead of indexing
+  // one network with another's assignments.
+  const MarkovQuilt quilt = QuiltFromSeparator(MoralGraph(a), 0, {1});
+  EXPECT_EQ(QuiltMaxInfluenceByEnumeration({a, b}, quilt).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(AnalyzeByEnumeration({a, b}, 1.0, {}).status().code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(AnalyzeByEnumeration({}, 1.0, {}).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

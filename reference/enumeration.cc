@@ -48,7 +48,8 @@ Result<Vector> EnumerationConditionalJoint(
     if (t < 0 || static_cast<std::size_t>(t) >= bn.num_nodes()) {
       return Status::InvalidArgument("target index out of range");
     }
-    cells *= static_cast<std::size_t>(bn.node(static_cast<std::size_t>(t)).arity);
+    cells *=
+        static_cast<std::size_t>(bn.node(static_cast<std::size_t>(t)).arity);
   }
   for (const auto& [var, val] : evidence) {
     if (var < 0 || static_cast<std::size_t>(var) >= bn.num_nodes() || val < 0 ||
@@ -92,7 +93,8 @@ Result<double> QuiltMaxInfluenceByEnumeration(
     // cond[a] = P(X_Q | X_i = a); FailedPrecondition marks P(X_i = a) = 0.
     std::vector<Result<Vector>> cond;
     for (int a = 0; a < bn.node(static_cast<std::size_t>(i)).arity; ++a) {
-      cond.push_back(EnumerationConditionalJoint(bn, quilt.quilt, {{i, a}}, limit));
+      cond.push_back(
+          EnumerationConditionalJoint(bn, quilt.quilt, {{i, a}}, limit));
       if (!cond.back().ok() &&
           cond.back().status().code() != StatusCode::kFailedPrecondition) {
         return cond.back().status();
